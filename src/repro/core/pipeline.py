@@ -22,12 +22,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import numpy.typing as npt
 
 from repro.config import MachineConfig, SimulationConfig
-from repro.core.backend import SimBackend, resolve_backend
 from repro.core.functional_units import FunctionalUnitPool, op_latency
 from repro.core.issue_queue import IssueQueue
 from repro.core.lsq import LoadStoreQueue
@@ -202,6 +202,33 @@ class SimulationResult:
         return float(np.mean([a > target_avf for a in warm]))
 
 
+class _LapStamp:
+    """Stamp of a profiled run: a new label laps the stage that just
+    ran on the profiler, then stamps the bus."""
+
+    __slots__ = ("_bus", "_profiler", "_running")
+
+    def __init__(self, bus: EventBus, profiler: StageProfiler) -> None:
+        self._bus = bus
+        self._profiler = profiler
+        self._running = ""
+
+    @property
+    def stage(self) -> str:
+        return self._running
+
+    @stage.setter
+    def stage(self, label: str) -> None:
+        if self._running:
+            self._profiler.lap(self._running)
+        self._running = label
+        self._bus.stage = label
+
+
+def _no_cycle_hook(cycle: int) -> None:
+    pass
+
+
 class SMTPipeline:
     """Cycle-level SMT processor simulation of one workload mix."""
 
@@ -219,7 +246,6 @@ class SMTPipeline:
         bus: EventBus | None = None,
         profiler: StageProfiler | None = None,
         telemetry: bool = True,
-        backend: str | SimBackend | None = None,
     ):
         if not programs:
             raise ValueError("at least one program (thread) is required")
@@ -227,11 +253,6 @@ class SMTPipeline:
         self.machine.validate()
         self.sim = sim or SimulationConfig()
         self.sim.validate()
-        # Execution engine: ``None`` is the inline reference interpreter
-        # in :meth:`run`; anything else delegates the whole run.
-        self._backend = resolve_backend(
-            backend if backend is not None else self.sim.backend
-        )
         n = self.machine.num_threads
         rel = self.sim.reliability
 
@@ -287,9 +308,6 @@ class SMTPipeline:
         self.total_committed = 0
         self.total_squashed = 0
         self.flush_count = 0
-        # Cycles accounted in closed form by the fast backend's idle
-        # skip (0 under the reference interpreter).
-        self.fast_skipped_cycles = 0
         self._iline_shift = self.machine.l1i.line_size.bit_length() - 1
 
         # Interval accumulators.
@@ -871,95 +889,82 @@ class SMTPipeline:
         self.bp.reset_stats()  # warm-up predictions don't count
         self.mem.reset_stats()  # warm-up accesses don't count
 
-    def _refresh_want_flags(self) -> None:
-        """Re-read the hot-topic subscription flags (cached against
-        ``bus.version`` so the zero-subscriber loop never rechecks)."""
-        bus = self.bus
-        self._bus_version = bus.version
-        self._want_commit = bus.wants(TOPIC_COMMIT)
-        self._want_squash = bus.wants(TOPIC_SQUASH)
-        self._want_throttle = bus.wants(TOPIC_DVM_THROTTLE)
+    def _stage_hooks(
+        self,
+    ) -> tuple[EventBus | _LapStamp, Callable[[int], None], Callable[[], None]]:
+        """Choose, once per run, what the loop's stage stamps do.
 
-    @property
-    def backend_name(self) -> str:
-        return "reference" if self._backend is None else self._backend.name
+        Returns ``(stamp, begin_cycle, end_loop)``: :meth:`run` sets
+        ``stamp.stage`` before each stage, calls ``begin_cycle(cycle)``
+        at the top of every cycle and ``end_loop()`` after the last.
+        A bare run (telemetry off, no profiler) only labels the bus,
+        which emits nothing then; a telemetry run also stamps the cycle and
+        re-reads the hot-topic flags when subscriptions change (so the
+        zero-subscriber loop never rechecks them); a profiled run also
+        laps the profiler on every label.
+        """
+        bus = self.bus
+        profiler = self.profiler
+
+        def stamp_cycle(cycle: int) -> None:
+            bus.cycle = cycle
+            if bus.version != self._bus_version:
+                self._bus_version = bus.version
+                self._want_commit = bus.wants(TOPIC_COMMIT)
+                self._want_squash = bus.wants(TOPIC_SQUASH)
+                self._want_throttle = bus.wants(TOPIC_DVM_THROTTLE)
+
+        def clear_stage() -> None:
+            bus.stage = ""
+
+        if profiler is None:
+            return bus, stamp_cycle if self.telemetry else _no_cycle_hook, clear_stage
+        laps = _LapStamp(bus, profiler)
+
+        def lap_cycle(cycle: int) -> None:
+            laps.stage = ""  # laps the previous cycle's last stage
+            stamp_cycle(cycle)
+            profiler.cycle_start()
+
+        def lap_end() -> None:
+            laps.stage = ""
+            profiler.end_run()
+
+        profiler.start_run()
+        return laps, lap_cycle, lap_end
 
     def run(self) -> SimulationResult:
         """Simulate ``sim.max_cycles`` cycles and return the results.
 
-        A non-reference backend executes the whole run through its own
-        engine; the inline loop below *is* the reference backend and is
-        the normative statement of per-cycle stage order that
-        ``backend-contract.json`` is extracted from.
+        The loop body is the normative statement of per-cycle stage
+        order (reverse-pipeline, see the module docstring) that
+        ``backend-contract.json`` is extracted from: each
+        ``stamp.stage = "<label>"`` is followed by the stage it labels.
         """
-        if self._backend is not None:
-            return self._backend.run(self)
         self._functional_warmup()
-        max_cycles = self.sim.max_cycles
         max_insts = self.sim.max_instructions
-        warm_marked = False
-        profiler = self.profiler
-        bus = self.bus if (self.telemetry or profiler is not None) else None
-        if profiler is not None:
-            profiler.start_run()
-        for cycle in range(max_cycles):
+        warmup_cycles = self.sim.warmup_cycles
+        stamp, begin_cycle, end_loop = self._stage_hooks()
+        for cycle in range(self.sim.max_cycles):
             self.cycle = cycle
-            if not warm_marked and cycle == self.sim.warmup_cycles:
+            if cycle == warmup_cycles:
                 self._warm_committed_pt = list(self.committed_per_thread)
-                warm_marked = True
-            if bus is None:
-                # Bare loop: identical to the pre-telemetry pipeline.
-                self._commit()
-                self._writeback()
-                self._issue()
-                self._dispatch()
-                self._fetch()
-                self._tick_stats()
-            elif profiler is None:
-                bus.cycle = cycle
-                if bus.version != self._bus_version:
-                    self._refresh_want_flags()
-                bus.stage = "commit"
-                self._commit()
-                bus.stage = "writeback"
-                self._writeback()
-                bus.stage = "issue"
-                self._issue()
-                bus.stage = "dispatch"
-                self._dispatch()
-                bus.stage = "fetch"
-                self._fetch()
-                bus.stage = "tick"
-                self._tick_stats()
-            else:
-                bus.cycle = cycle
-                if bus.version != self._bus_version:
-                    self._refresh_want_flags()
-                profiler.cycle_start()
-                bus.stage = "commit"
-                self._commit()
-                profiler.lap("commit")
-                bus.stage = "writeback"
-                self._writeback()
-                profiler.lap("writeback")
-                bus.stage = "issue"
-                self._issue()
-                profiler.lap("issue")
-                bus.stage = "dispatch"
-                self._dispatch()
-                profiler.lap("dispatch")
-                bus.stage = "fetch"
-                self._fetch()
-                profiler.lap("fetch")
-                bus.stage = "tick"
-                self._tick_stats()
-                profiler.lap("tick")
+            begin_cycle(cycle)
+            stamp.stage = "commit"
+            self._commit()
+            stamp.stage = "writeback"
+            self._writeback()
+            stamp.stage = "issue"
+            self._issue()
+            stamp.stage = "dispatch"
+            self._dispatch()
+            stamp.stage = "fetch"
+            self._fetch()
+            stamp.stage = "tick"
+            self._tick_stats()
             if max_insts is not None and self.total_committed >= max_insts:
                 break
-        if bus is not None:
-            bus.stage = ""
-        if profiler is not None:
-            profiler.end_run()
+        end_loop()
         final_cycle = self.cycle + 1
         if self.sim.warmup_cycles == 0:
             self._warm_committed_pt = [0] * self.num_threads

@@ -75,45 +75,28 @@ class BenchResult:
 # ----------------------------------------------------------------------
 # Cases
 # ----------------------------------------------------------------------
-def _make_cycle_loop(mix_name: str, backend: str | None):
-    """Factory-of-factories for the backend-comparison pipeline cases.
-
-    Both backends run the identical configuration end to end
-    (``SMTPipeline.run`` wall time, telemetry off), so the committed
-    ratio between a reference case and its same-mix fast counterpart is
-    the backend speedup the differential suite licenses.  For the fast
-    cases the untimed warm-up populates the engine's warm-state
-    snapshot cache (keyed by program identity, which ``get_programs``
-    pins), so the timed repeats measure the steady-state cost a sweep
-    pays per fast-backend run: snapshot restore plus the specialized
-    cycle loop.
-    """
+def _make_cycle_loop(mix_name: str) -> Callable[[BenchScale], Callable[[], None]]:
+    """Factory-of-factories for the pipeline cases: one bare run of
+    ``mix_name`` end to end (``SMTPipeline.run`` wall time, telemetry
+    off), functional warm-up included."""
 
     def make(scale: BenchScale) -> Callable[[], None]:
         programs = get_programs(mix_name, scale)
         machine = MachineConfig(num_threads=len(get_mix(mix_name).benchmarks))
         sim = scale.sim_config()
-        kwargs = {} if backend is None else {"backend": backend}
 
         def run() -> None:
-            SMTPipeline(
-                programs, machine=machine, sim=sim, telemetry=False, **kwargs
-            ).run()
+            SMTPipeline(programs, machine=machine, sim=sim, telemetry=False).run()
 
         return run
 
     return make
 
 
-#: CPU-bound mix: little idle time, so the fast/reference ratio here is
-#: dominated by warm-snapshot reuse plus the hoisted loop itself.
-_make_pipeline_cycle_loop = _make_cycle_loop(_BENCH_MIX, None)
-_make_fast_cycle_loop = _make_cycle_loop(_BENCH_MIX, "fast")
-#: Memory-bound mix: long L2-miss shadows let the fast engine's
-#: event-driven idle skip run closed-form, where the backend's headline
-#: speedup (>=10x) is demonstrated and gated.
-_make_mem_cycle_loop = _make_cycle_loop("MEM-A", None)
-_make_fast_mem_cycle_loop = _make_cycle_loop("MEM-A", "fast")
+#: MIX-A: half of its threads are CPU-bound and keep issue/commit busy.
+_make_pipeline_cycle_loop = _make_cycle_loop(_BENCH_MIX)
+#: Memory-bound mix: long L2-miss shadows, idle cycles dominate.
+_make_mem_cycle_loop = _make_cycle_loop("MEM-A")
 
 
 def _make_issue_select(scale: BenchScale) -> Callable[[], None]:
@@ -315,19 +298,9 @@ BENCH_CASES: tuple[BenchCase, ...] = (
         _make_pipeline_cycle_loop,
     ),
     BenchCase(
-        "fast_cycle_loop",
-        "same MIX-A simulation on the fast backend (warm snapshot + hoisted loop)",
-        _make_fast_cycle_loop,
-    ),
-    BenchCase(
         "mem_cycle_loop",
-        "bare MEM-A simulation (telemetry off), reference backend",
+        "bare MEM-A simulation (telemetry off), full cycle loop",
         _make_mem_cycle_loop,
-    ),
-    BenchCase(
-        "fast_mem_cycle_loop",
-        "same MEM-A simulation on the fast backend (idle skip dominates)",
-        _make_fast_mem_cycle_loop,
     ),
     BenchCase(
         "issue_select",

@@ -288,6 +288,21 @@ class AVFAccount:
     # ------------------------------------------------------------------
     # Reading results
     # ------------------------------------------------------------------
+    def bit_cycles(self, structure: Structure) -> int:
+        """Oracle ACE bit-cycles attributed to ``structure`` so far."""
+        return self._acc[structure]
+
+    def interval_bit_cycles(self, structure: Structure) -> list[int]:
+        """Oracle ACE bit-cycles per interval index, densely from
+        interval 0 to the last one touched (empty before :meth:`close`)."""
+        if not self.total_cycles:
+            return []
+        intervals = self._interval_acc[structure]
+        n = self.total_cycles // self.interval_cycles
+        if intervals:
+            n = max(n, max(intervals) + 1)
+        return [intervals.get(i, 0) for i in range(n)]
+
     def overall_avf(self, structure: Structure) -> float:
         if not self.total_cycles:
             return 0.0
@@ -295,16 +310,9 @@ class AVFAccount:
         return self._acc[structure] / denom
 
     def interval_avf(self, structure: Structure) -> list[float]:
-        """AVF per interval index, densely from interval 0 to the last
-        one touched."""
-        if not self.total_cycles:
-            return []
-        intervals = self._interval_acc[structure]
-        n = self.total_cycles // self.interval_cycles
-        if intervals:
-            n = max(n, max(intervals) + 1)
+        """AVF per interval index, over :meth:`interval_bit_cycles`."""
         denom = self._capacity_bits[structure] * self.interval_cycles
-        return [intervals.get(i, 0) / denom for i in range(n)]
+        return [bc / denom for bc in self.interval_bit_cycles(structure)]
 
     def capacity_bits(self, structure: Structure) -> int:
         return self._capacity_bits[structure]

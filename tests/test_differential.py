@@ -2,18 +2,25 @@
 
 The cache is checked against an independent reference model under
 random access streams; the pipeline is fuzzed across random small
-machines/workloads with its structural invariants asserted.
+machines/workloads with its structural invariants asserted.  The
+parallel sweep harness is checked against an uncheckpointed sweep.
 """
 
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import pytest
 
 from repro.config import CacheConfig, MachineConfig, ReliabilityConfig, SimulationConfig
 from repro.core.pipeline import SMTPipeline
+from repro.harness.parallel import parallel_sweep
+from repro.harness.runner import BenchScale, clear_caches
 from repro.isa.generator import generate_program
+from repro.isa.instruction import DynInst, DynState, OpClass, StaticInst
+from repro.isa.program import BasicBlock, SyntheticProgram
 from repro.memory.cache import SetAssocCache
+from repro.telemetry.profiler import StageProfiler
 
 
 class ReferenceCache:
@@ -109,94 +116,7 @@ def test_pipeline_fuzz_invariants(seed, benchmark, n_threads):
 
 
 # ----------------------------------------------------------------------
-# Backend parity: the fast engine must be observationally equivalent
-# to the reference interpreter on SimulationResult.
-# ----------------------------------------------------------------------
-import numpy as np
-import pytest
-
-from repro.core.backend import backend_names
-from repro.isa.instruction import DynInst, DynState, OpClass, StaticInst
-from repro.isa.program import BasicBlock, SyntheticProgram
-from repro.reliability.dvm import DVMController
-from repro.workloads import get_mix
-
-
-def _parity_sim(hist=False, warmup=300, cycles=1_500):
-    return SimulationConfig(
-        max_cycles=cycles, warmup_cycles=warmup, seed=7,
-        bp_warmup_instructions=2_000,
-        collect_ready_queue_histogram=hist,
-        reliability=ReliabilityConfig(interval_cycles=300, ace_window=600),
-    )
-
-
-def _run_backend(backend, mix, fetch_policy, scheduler, dvm_on, **sim_kw):
-    # Fresh program objects per run: results are a pure function of the
-    # seed, so sharing is unnecessary and isolation is total.
-    programs = get_mix(mix).programs(seed=7)
-    sim = _parity_sim(**sim_kw)
-    dvm = DVMController(0.05, config=sim.reliability) if dvm_on else None
-    return SMTPipeline(
-        programs, sim=sim, fetch_policy=fetch_policy,
-        scheduler=scheduler, dvm=dvm, backend=backend,
-    ).run()
-
-
-# One row per figure family: fig5 sweeps fetch policies, fig8 the VISA
-# scheduler, fig9/10 DVM; MEM-A exercises the idle-skip path, CPU-A the
-# dense-issue path.
-_PARITY_GRID = [
-    ("MEM-A", "icount", "oldest", False),
-    ("MEM-A", "icount", "oldest", True),
-    ("MEM-A", "icount", "visa", False),
-    ("MEM-A", "icount", "visa", True),
-    ("MEM-A", "flush", "oldest", False),
-    ("MEM-A", "flush", "visa", True),
-    ("MEM-A", "stall", "oldest", False),
-    ("MEM-A", "rr", "oldest", False),
-    ("CPU-A", "icount", "oldest", False),
-    ("CPU-A", "icount", "visa", True),
-    ("CPU-A", "pdg", "oldest", False),
-    ("CPU-A", "rr", "visa", False),
-]
-
-
-class TestBackendParity:
-    @pytest.mark.parametrize(
-        "mix,fetch_policy,scheduler,dvm_on", _PARITY_GRID,
-        ids=[f"{m}-{f}-{s}-{'dvm' if d else 'base'}" for m, f, s, d in _PARITY_GRID],
-    )
-    def test_results_identical(self, mix, fetch_policy, scheduler, dvm_on):
-        ref = _run_backend("reference", mix, fetch_policy, scheduler, dvm_on)
-        fast = _run_backend("fast", mix, fetch_policy, scheduler, dvm_on)
-        assert ref == fast
-
-    def test_registry_reference_is_first(self):
-        names = backend_names()
-        assert names[0] == "reference" and "fast" in names
-
-    def test_warmup_zero_edge(self):
-        ref = _run_backend("reference", "MEM-A", "icount", "oldest", False, warmup=0)
-        fast = _run_backend("fast", "MEM-A", "icount", "oldest", False, warmup=0)
-        assert ref == fast
-
-    def test_ready_queue_histograms_identical(self):
-        # SimulationResult.__eq__ is ambiguous with numpy histogram
-        # fields, so the histogram run compares arrays explicitly and
-        # the scalar metrics by hand.
-        ref = _run_backend("reference", "MEM-A", "icount", "visa", True, hist=True)
-        fast = _run_backend("fast", "MEM-A", "icount", "visa", True, hist=True)
-        assert np.array_equal(ref.ready_hist, fast.ready_hist)
-        assert np.array_equal(ref.ready_hist_ace, fast.ready_hist_ace)
-        assert (ref.committed, ref.cycles, ref.iq_avf, ref.rob_avf) == (
-            fast.committed, fast.cycles, fast.iq_avf, fast.rob_avf
-        )
-        assert ref.intervals == fast.intervals
-
-
-# ----------------------------------------------------------------------
-# Issue-bandwidth starvation regression (the bugfix this PR pins).
+# Issue-bandwidth starvation regression.
 # ----------------------------------------------------------------------
 def _fu_burst_program(n_fmult, n_ialu, name="fmult-burst"):
     """A self-looping block: a burst of FMULTs, then independent IALUs."""
@@ -226,7 +146,11 @@ class TestIssueStarvationRegression:
         prog = _fu_burst_program(20, 8)
         pipe = SMTPipeline(
             [prog], machine=machine,
-            sim=_parity_sim(warmup=0, cycles=100),
+            sim=SimulationConfig(
+                max_cycles=100, warmup_cycles=0, seed=7,
+                bp_warmup_instructions=2_000,
+                reliability=ReliabilityConfig(interval_cycles=300, ace_window=600),
+            ),
         )
         statics = list(prog.all_insts())
         insts = []
@@ -243,11 +167,13 @@ class TestIssueStarvationRegression:
         # Oldest eligible entries win: the issued FMULT is the oldest.
         assert fmults[0].tag == 1
 
-    @pytest.mark.parametrize("backend", ["reference", "fast"])
-    def test_fu_burst_sustains_issue_bandwidth(self, backend):
+    @pytest.mark.parametrize("hooks", ["reference", "profiled"])
+    def test_fu_burst_sustains_issue_bandwidth(self, hooks):
         """Periodic 17-wide FMULT bursts (wider than the old selection
         window) in a mostly-IALU stream: with starvation fixed the
-        machine sustains high IPC through each burst."""
+        machine sustains high IPC through each burst.  The bare loop
+        ("reference") and the profiler-lapping loop ("profiled") run
+        the same stage sequence, so both must sustain it."""
         machine = MachineConfig(num_threads=1, fp_mult_div_sqrt=1)
         machine.validate()
         prog = _fu_burst_program(17, 153)
@@ -259,33 +185,18 @@ class TestIssueStarvationRegression:
             bp_warmup_instructions=2_000,
             reliability=ReliabilityConfig(interval_cycles=300, ace_window=600),
         )
-        res = SMTPipeline([prog], machine=machine, sim=sim, backend=backend).run()
+        profiler = StageProfiler() if hooks == "profiled" else None
+        res = SMTPipeline([prog], machine=machine, sim=sim, profiler=profiler).run()
         assert res.ipc > 5.0
         assert res.committed > 5_000
-
-    def test_fu_burst_backend_parity(self):
-        machine = MachineConfig(num_threads=1, fp_mult_div_sqrt=1)
-        sim = SimulationConfig(
-            max_cycles=1_200, warmup_cycles=200, seed=11,
-            bp_warmup_instructions=2_000,
-            reliability=ReliabilityConfig(interval_cycles=300, ace_window=600),
-        )
-        runs = [
-            SMTPipeline(
-                [_fu_burst_program(17, 153)], machine=machine, sim=sim,
-                backend=backend,
-            ).run()
-            for backend in ("reference", "fast")
-        ]
-        assert runs[0] == runs[1]
+        if profiler is not None:
+            assert profiler.cycles > 0
 
 
-# ----------------------------------------------------------------------
-# Fast backend under the parallel harness: pass-through, checkpoint
-# resume, and row-for-row parity with the reference engine.
-# ----------------------------------------------------------------------
-from repro.harness.parallel import parallel_sweep
-from repro.harness.runner import BenchScale, clear_caches
+# --------------------------------------------------------------------------
+# Parallel sweep harness: checkpointed rows equal an unchecked sweep and
+# resume from the checkpoint without executing anything.
+# --------------------------------------------------------------------------
 
 _SWEEP_SCALE = BenchScale(
     max_cycles=2_000, warmup_cycles=400, interval_cycles=400,
@@ -305,37 +216,17 @@ class TestFastBackendParallelHarness:
     def test_sweep_rows_match_reference_and_resume_is_cached(
         self, _sweep_caches, tmp_path
     ):
-        """backend="fast" rides through the parallel engine as a plain
-        run_sim kwarg: the rows must equal a reference sweep metric for
-        metric, land in the checkpoint, and resume without executing."""
+        """A checkpointed sweep's rows must equal an uncheckpointed
+        reference sweep metric for metric, land in the checkpoint, and
+        resume without executing."""
         ref = parallel_sweep("CPU-A", _SWEEP_SCALE, _SWEEP_AXES, checkpoint=None)
-        ck = str(tmp_path / "fast-sweep.jsonl")
-        fast = parallel_sweep(
-            "CPU-A", _SWEEP_SCALE, _SWEEP_AXES, checkpoint=ck, backend="fast"
-        )
-        assert fast.executed == len(fast.rows) and fast.cached == 0
-        # Fixed kwargs are not row columns, so metric-for-metric parity
-        # is plain row equality.
-        assert fast.rows == ref.rows
+        ck = str(tmp_path / "sweep.jsonl")
+        first = parallel_sweep("CPU-A", _SWEEP_SCALE, _SWEEP_AXES, checkpoint=ck)
+        assert first.executed == len(first.rows) and first.cached == 0
+        assert first.rows == ref.rows
 
         resumed = parallel_sweep(
-            "CPU-A", _SWEEP_SCALE, _SWEEP_AXES,
-            checkpoint=ck, resume=True, backend="fast",
+            "CPU-A", _SWEEP_SCALE, _SWEEP_AXES, checkpoint=ck, resume=True
         )
-        assert resumed.executed == 0 and resumed.cached == len(fast.rows)
-        assert resumed.rows == fast.rows
-
-    def test_backend_distinguishes_checkpoint_signature(
-        self, _sweep_caches, tmp_path
-    ):
-        """A reference-backend checkpoint must not satisfy a fast-backend
-        resume (and vice versa): the backend kwarg is part of the sweep
-        signature, so a resume against the other engine's shard restarts
-        rather than serving the wrong engine's rows as cached."""
-        ck = str(tmp_path / "ref-sweep.jsonl")
-        parallel_sweep("CPU-A", _SWEEP_SCALE, _SWEEP_AXES, checkpoint=ck)
-        with pytest.raises(ValueError, match="different sweep configuration"):
-            parallel_sweep(
-                "CPU-A", _SWEEP_SCALE, _SWEEP_AXES,
-                checkpoint=ck, resume=True, backend="fast",
-            )
+        assert resumed.executed == 0 and resumed.cached == len(first.rows)
+        assert resumed.rows == first.rows

@@ -265,10 +265,9 @@ class TestOnlineOracleConvergence:
             acct.on_resolved(dyn)
         total = L * (max(leave for _, leave in spans) + L - 1) // L
         acct.close(max(total, L))
-        denom = acct.capacity_bits(Structure.IQ) * L
-        series = acct.interval_avf(Structure.IQ)
-        for i, v in enumerate(series):
-            assert v == pytest.approx(online.get(i, 0) / denom)
+        series = acct.interval_bit_cycles(Structure.IQ)
+        assert series == [online.get(i, 0) for i in range(len(series))]
+        assert set(online) <= set(range(len(series)))
 
     @settings(max_examples=25, deadline=None)
     @given(_in_interval_spans(), st.data())
@@ -290,10 +289,7 @@ class TestOnlineOracleConvergence:
                 squashed_total += contrib
             acct.on_resolved(dyn)
         acct.close(L)
-        oracle_total = acct.overall_avf(Structure.IQ) * (
-            acct.capacity_bits(Structure.IQ) * acct.total_cycles
-        )
-        assert online_total - oracle_total == pytest.approx(squashed_total)
+        assert online_total - acct.bit_cycles(Structure.IQ) == squashed_total
 
 
 # ----------------------------------------------------------------------
