@@ -35,14 +35,9 @@ liveness):
   be restored by ``reset()`` (checked across helper methods and base
   classes), and ``__slots__`` completeness is enforced across the MRO.
 
-Performance-model passes (:mod:`repro.analysis.perfmodel` — a
-loop-depth-weighted static cost model over the same call graph, plus
-the ``repro lint hotpaths`` report that cross-validates it against
-measured perf spans):
+Process-pool passes (:mod:`repro.analysis.checkers.forksafety`, over
+the same call graph):
 
-* **hot-loop-alloc** — no allocation/dispatch churn (comprehensions,
-  displays, f-strings, ``isinstance``/``getattr`` dispatch) inside
-  loops of functions the cost model ranks as hot.
 * **pickle-safety** — pool-submitted callables must be module-level
   functions; lambdas, nested ``def``\\ s, bound methods and
   handle/lock arguments are flagged at the submission site.

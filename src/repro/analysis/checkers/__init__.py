@@ -6,8 +6,7 @@ this lazily so ``import repro.analysis`` stays cheap.  Per-file
 on :mod:`repro.analysis.flow` — the dataflow passes, the backend
 state-contract pair (``state-contract-drift``,
 ``escaped-state-write``) from :mod:`repro.analysis.effects`, and the
-performance/concurrency tier from :mod:`repro.analysis.perfmodel`
-(``hot-loop-alloc``, ``pickle-safety``, ``fork-safety``).
+process-pool pair (``pickle-safety``, ``fork-safety``).
 """
 
 from repro.analysis.checkers.config_bounds import ConfigBoundsChecker
@@ -16,6 +15,10 @@ from repro.analysis.checkers.determinism import DeterminismChecker
 from repro.analysis.checkers.dimension import DimensionChecker
 from repro.analysis.checkers.emit_coverage import EmitCoverageChecker
 from repro.analysis.checkers.event_schema import EventSchemaChecker
+from repro.analysis.checkers.forksafety import (
+    ForkSafetyChecker,
+    PickleSafetyChecker,
+)
 from repro.analysis.checkers.hidden_state import HiddenStateChecker
 from repro.analysis.checkers.nondet_iteration import NondetIterationChecker
 from repro.analysis.checkers.paper_fidelity import PaperFidelityChecker
@@ -25,11 +28,6 @@ from repro.analysis.checkers.state_contract import (
     EscapedStateWriteChecker,
     StateContractDriftChecker,
 )
-from repro.analysis.perfmodel.forksafety import (
-    ForkSafetyChecker,
-    PickleSafetyChecker,
-)
-from repro.analysis.perfmodel.hotloop import HotLoopAllocChecker
 
 __all__ = [
     "ConfigBoundsChecker",
@@ -46,6 +44,5 @@ __all__ = [
     "SlotsCompletenessChecker",
     "StagePurityChecker",
     "ForkSafetyChecker",
-    "HotLoopAllocChecker",
     "PickleSafetyChecker",
 ]

@@ -15,8 +15,7 @@ entry: stage methods (discovered from the ``bus.stage = "..."`` labels
 in the run loop, falling back to the direct ``self._stage()`` call
 sequence), per-stage effect sets, inferred stage-ordering
 dependencies, per-thread vs shared state partitioning, and an
-SoA-feasibility verdict per architectural structure extending
-:mod:`repro.analysis.perfmodel.vectorize`.
+SoA-feasibility verdict per architectural structure.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from repro.analysis.effects.model import (
 )
 from repro.analysis.flow.project import ProjectContext
 from repro.analysis.flow.symbols import ClassInfo, ModuleInfo
-from repro.analysis.perfmodel.vectorize import classify_function
 
 #: Architectural structures that get an SoA-feasibility verdict; the
 #: key is the conventional short name used in the contract document.
@@ -52,6 +50,42 @@ STRUCTURE_CLASSES = {
 #: Constructors of growable (pointer-chasing) containers — the
 #: antithesis of a fixed-slot struct-of-arrays layout.
 _GROWABLE_CONSTRUCTORS = frozenset({"deque", "dict", "set", "defaultdict", "list"})
+
+#: Builtins whose per-entry type dispatch has no array equivalent.
+_DISPATCH_BUILTINS = frozenset({"isinstance", "getattr", "hasattr"})
+
+
+def _loop_dispatch_calls(
+    func: ast.FunctionDef | ast.AsyncFunctionDef,
+) -> list[tuple[int, str]]:
+    """``(line, builtin)`` for every ``isinstance``/``getattr``/``hasattr``
+    call inside a loop body of ``func``.  A ``for`` loop's iterable is
+    evaluated once, so it counts as outside the loop; nested ``class``
+    bodies are skipped."""
+    found: set[tuple[int, str]] = set()
+
+    def visit(node: ast.AST, in_loop: bool) -> None:
+        if (
+            in_loop
+            and isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in _DISPATCH_BUILTINS
+        ):
+            found.add((node.lineno, node.func.id))
+        if isinstance(node, ast.ClassDef):
+            return
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            visit(node.iter, in_loop)
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
+            for child in node.body + node.orelse:
+                visit(child, True)
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_loop)
+
+    for stmt in func.body:
+        visit(stmt, False)
+    return sorted(found)
 
 
 def _iter_self_assigns(
@@ -576,13 +610,15 @@ class PipelineContract:
                             detail=f"returns internal container self.{node.value.attr}",
                         )
                     )
-            for blk in classify_function(method, qual).blockers:
-                if blk.kind == "dynamic-dispatch":
-                    blockers.append(
-                        SoABlocker(
-                            kind=blk.kind, qualname=qual, line=blk.line, detail=blk.detail
-                        )
-                    )
+            blockers.extend(
+                SoABlocker(
+                    kind="dynamic-dispatch",
+                    qualname=qual,
+                    line=line,
+                    detail=f"{name}() per loop entry",
+                )
+                for line, name in _loop_dispatch_calls(method)
+            )
         return blockers
 
     @staticmethod

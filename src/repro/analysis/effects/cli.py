@@ -25,8 +25,7 @@ from repro.analysis.effects.contract import (
     diff_contracts,
     render_contract,
 )
-from repro.analysis.engine import default_roots
-from repro.analysis.perfmodel.cli import build_project
+from repro.analysis.engine import build_project, default_roots
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1

@@ -24,12 +24,15 @@ import ast
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Callable, ContextManager, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, ContextManager, Iterable, Iterator, Sequence
 
 from repro.analysis.diagnostics import Diagnostic, Severity, sort_key
 from repro.analysis.flow.cache import CacheStats, DiagnosticCache, source_digest
 from repro.analysis.registry import BaseChecker, ProjectChecker, all_rules, make_checkers
 from repro.analysis.suppress import WILDCARD, SuppressionTable, parse_suppressions
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.analysis.flow.project import ProjectContext
 
 #: Directory names never descended into.  ``lint_fixtures`` holds the
 #: intentionally-broken counterexamples the test suite feeds the
@@ -101,6 +104,22 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
                         yield os.path.join(dirpath, name)
         else:
             raise FileNotFoundError(f"no such file or directory: {path}")
+
+
+def build_project(paths: Sequence[str]) -> ProjectContext:
+    """Parse every .py under ``paths`` into one ProjectContext (files
+    that do not parse are left out)."""
+    from repro.analysis.flow.project import ProjectContext
+
+    engine = LintEngine([])
+    contexts = []
+    for path in iter_python_files(paths):
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        ctx = engine._parse_context(path, raw)
+        if ctx is not None:
+            contexts.append(ctx)
+    return ProjectContext(sorted(contexts, key=lambda c: c.path))
 
 
 def default_roots(cwd: str | None = None) -> list[str]:

@@ -13,7 +13,7 @@ Commands
 ``reproduce``   regenerate one of the paper's tables/figures
 ``list``        enumerate benchmarks, mixes, policies and experiments
 ``lint``        simulator-aware static analysis (alias of
-                ``python -m repro.lint``; see ``repro lint hotpaths``)
+                ``python -m repro.lint``; see ``repro lint contract``)
 
 Examples::
 

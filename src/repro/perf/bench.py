@@ -202,7 +202,7 @@ def _make_contract_extract(scale: BenchScale) -> Callable[[], None]:
     """
     from repro.analysis.effects.analyze import PipelineContract
     from repro.analysis.effects.contract import build_contract, render_contract
-    from repro.analysis.perfmodel.cli import build_project
+    from repro.analysis.engine import build_project
 
     import repro
 

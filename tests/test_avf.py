@@ -81,17 +81,19 @@ class TestAttribution:
         acct.on_resolved(make_dyn(dispatch=0, iq_leave=10, issue=-1, commit=-1))
         acct.close(total_cycles=100)
         m = MachineConfig()
+        assert acct.bit_cycles(Structure.IQ) == acct.layout.iq_ace * 10
         expected = (acct.layout.iq_ace * 10) / (m.iq_size * acct.layout.iq_entry_bits * 100)
-        assert acct.overall_avf(Structure.IQ) == pytest.approx(expected)
+        assert acct.overall_avf(Structure.IQ) == expected
 
     def test_rob_residency_dispatch_to_commit(self, acct):
         acct.on_resolved(make_dyn(dispatch=5, iq_leave=-1, issue=-1, commit=25))
         acct.close(100)
         m = MachineConfig()
+        assert acct.bit_cycles(Structure.ROB) == acct.layout.rob_ace * 20
         expected = (acct.layout.rob_ace * 20) / (
             m.num_threads * m.rob_size_per_thread * acct.layout.rob_entry_bits * 100
         )
-        assert acct.overall_avf(Structure.ROB) == pytest.approx(expected)
+        assert acct.overall_avf(Structure.ROB) == expected
 
     def test_fu_latency_attribution(self, acct):
         acct.on_resolved(make_dyn(dispatch=-1, iq_leave=-1, issue=3, commit=-1, latency=4))
@@ -242,9 +244,10 @@ class TestIntervalBoundary:
             for cycle in range(d, l):
                 b = cycle // acct.interval_cycles
                 online[b] = online.get(b, 0) + acct.layout.iq_ace
+        expected = [online.get(i, 0) for i in range(3)]
+        assert acct.interval_bit_cycles(Structure.IQ) == expected
         denom = acct.capacity_bits(Structure.IQ) * acct.interval_cycles
-        expected = [online.get(i, 0) / denom for i in range(3)]
-        assert acct.interval_avf(Structure.IQ) == pytest.approx(expected)
+        assert acct.interval_avf(Structure.IQ) == [bc / denom for bc in expected]
 
 
 class TestBusEmission:

@@ -5,12 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
 from repro.analysis import LintEngine, Severity, all_rules, get_checker
 from repro.analysis.cli import main as lint_main
-from repro.analysis.engine import iter_python_files
+from repro.analysis.checkers.forksafety import iter_pool_sites, worker_reachable
+from repro.analysis.engine import build_project, iter_python_files
 from repro.analysis.reporters import render
 
 HERE = os.path.dirname(__file__)
@@ -29,9 +31,25 @@ FIXTURE_OF = {
     "event-schema": os.path.join(FIXTURES, "event_schema_bad.py"),
 }
 
+#: project rule -> its counterexample fixture directory.
+PROJECT_FIXTURE_OF = {
+    "fork-safety": os.path.join(FIXTURES, "fork_safety"),
+    "pickle-safety": os.path.join(FIXTURES, "pickle_safety"),
+}
+FIXTURE_RULES = sorted(FIXTURE_OF) + sorted(PROJECT_FIXTURE_OF)
+
 
 def run_rule(rule, path):
+    if rule in PROJECT_FIXTURE_OF:
+        return LintEngine([rule]).run([path])
     return LintEngine([rule]).check_file(path)
+
+
+def make_project(tmp_path, **modules):
+    """Build a ProjectContext from ``name=source`` module pairs."""
+    for name, src in modules.items():
+        (tmp_path / f"{name}.py").write_text(textwrap.dedent(src))
+    return build_project([str(tmp_path)])
 
 
 class TestRegistry:
@@ -48,17 +66,22 @@ class TestRegistry:
 
 
 class TestCheckersFireOnFixtures:
-    @pytest.mark.parametrize("rule", sorted(FIXTURE_OF))
+    @pytest.mark.parametrize("rule", FIXTURE_RULES)
     def test_rule_fires_on_its_fixture(self, rule):
-        diags = run_rule(rule, FIXTURE_OF[rule])
+        diags = run_rule(rule, PROJECT_FIXTURE_OF.get(rule) or FIXTURE_OF[rule])
         assert diags, f"{rule} stayed silent on its counterexample"
         assert all(d.rule == rule for d in diags)
 
-    @pytest.mark.parametrize("rule", sorted(FIXTURE_OF))
+    @pytest.mark.parametrize("rule", FIXTURE_RULES)
     def test_other_rules_stay_silent_on_fixture(self, rule):
-        """Each fixture trips exactly its own checker."""
-        others = [r for r in FIXTURE_OF if r != rule]
-        diags = LintEngine(others).check_file(FIXTURE_OF[rule])
+        """Each fixture trips exactly its own checker among the rules of
+        its kind (per-file or project)."""
+        if rule in PROJECT_FIXTURE_OF:
+            others = [r for r in PROJECT_FIXTURE_OF if r != rule]
+            diags = LintEngine(others).run([PROJECT_FIXTURE_OF[rule]])
+        else:
+            others = [r for r in FIXTURE_OF if r != rule]
+            diags = LintEngine(others).check_file(FIXTURE_OF[rule])
         assert diags == []
 
     def test_determinism_finds_all_three_categories(self):
@@ -101,6 +124,59 @@ class TestCheckersFireOnFixtures:
         assert "PartiallyValidatedConfig.t_cache_miss" in symbols
         assert "UnvalidatedConfig" in symbols
         assert not any(s.startswith("FullyValidatedConfig") for s in symbols)
+
+
+class TestForkSafety:
+    def test_flags_all_four_mutations_in_worker_code(self):
+        diags = run_rule("fork-safety", PROJECT_FIXTURE_OF["fork-safety"])
+        assert [d.line for d in diags] == [13, 14, 20, 21]
+        # ... and only in worker-reachable functions: local_report's
+        # identical .append() on line 34 stays silent.
+        assert all("workers.run_point" in d.message for d in diags)
+
+    def test_worker_reachable_closure(self, tmp_path):
+        project = make_project(
+            tmp_path,
+            jobs="""
+            def work(x):
+                return helper(x)
+
+            def helper(x):
+                return x
+
+            def cold(x):
+                return x
+
+            def launch(pool, xs):
+                return pool.map(work, xs)
+            """,
+        )
+        reached = worker_reachable(project)
+        assert reached == {"jobs.work": "jobs.work", "jobs.helper": "jobs.work"}
+
+
+class TestPickleSafety:
+    def test_flags_every_unpicklable_crossing(self):
+        diags = run_rule("pickle-safety", PROJECT_FIXTURE_OF["pickle-safety"])
+        assert [d.line for d in diags] == [22, 23, 24, 25, 30]
+        by_sev = {s: sum(1 for d in diags if d.severity == s) for s in Severity}
+        assert by_sev[Severity.ERROR] == 3  # lambda, nested def, initializer
+        assert by_sev[Severity.WARNING] == 2  # bound method, open() handle
+
+    def test_pool_sites_include_initializer_keyword(self, tmp_path):
+        project = make_project(
+            tmp_path,
+            jobs="""
+            def setup():
+                pass
+
+            def launch(pool, xs, f):
+                pool = make_pool(initializer=setup)
+                return pool.map(f, xs)
+            """,
+        )
+        kinds = sorted(s.kind for s in iter_pool_sites(project))
+        assert kinds == ["initializer", "map"]
 
 
 class TestRealTreeClean:

@@ -31,7 +31,7 @@ from repro.analysis.effects.model import (
     paths_overlap,
     truncate_path,
 )
-from repro.analysis.perfmodel.cli import build_project
+from repro.analysis.engine import build_project
 
 # ----------------------------------------------------------------------
 # A miniature simulator tree exercised by most contract tests.
@@ -255,6 +255,44 @@ class TestPipelineContract:
             b.kind == "dynamic-container" and "deque" in b.detail
             for b in rob.blockers
         )
+
+    def test_dynamic_dispatch_only_inside_loop_bodies(self, tmp_path):
+        methods = '''
+    def scan(self, items):
+        for item in items:
+            if isinstance(item, int):  # flagged
+                self.count += 1
+
+    def over_iterable(self, items):
+        for item in (items if isinstance(items, list) else [items]):
+            self.count += item
+
+    def outside_loop(self, item):
+        return hasattr(item, "tag")
+
+    def nested_class(self, items):
+        for item in items:
+            class Probe:
+                def check(self, xs):
+                    for x in xs:
+                        return getattr(x, "tag", None)
+        return items
+'''
+        source = MINI_PIPELINE.replace(
+            "    def dump(self):", methods.lstrip("\n") + "\n    def dump(self):"
+        )
+        flagged = 1 + next(
+            i
+            for i, line in enumerate(textwrap.dedent(source).splitlines())
+            if line.endswith("# flagged")
+        )
+        contract = mini_contract(tmp_path, source)
+        dispatch = [
+            b for b in contract.structures["iq"].blockers if b.kind == "dynamic-dispatch"
+        ]
+        assert [(b.qualname, b.line, b.detail) for b in dispatch] == [
+            ("mini.IssueQueue.scan", flagged, "isinstance() per loop entry")
+        ]
 
     def test_no_pipeline_raises_lookup_error(self, tmp_path):
         project = mini_project(tmp_path, source="class Plain:\n    pass\n")

@@ -14,29 +14,35 @@ from repro.analysis.cli import main as lint_main
 from repro.analysis.flow.cache import DiagnosticCache
 
 CALLER = """
+from concurrent.futures import ProcessPoolExecutor
+
 from callee import issue
 
 
-class SMTPipeline:
-    def run(self, cycles):
-        for _ in range(cycles):
-            issue(self)
+def sweep(points):
+    with ProcessPoolExecutor() as pool:
+        return list(pool.map(issue, points))
 """
 
 CALLEE_CLEAN = """
-def issue(pipe):
-    rows = [pipe]
+_SEEN = []
+
+
+def issue(point):
+    rows = [point]
     return rows
 """
 
-#: Same function, comprehension moved inside a loop: now one weighted
-#: loop level below the per-cycle call, i.e. statically hot.
-CALLEE_HOT = """
-def issue(pipe):
-    rows = []
-    for item in (pipe, pipe):
-        rows = [item]
-    return rows
+#: Same function, now mutating a module-level container.  That is a
+#: fork-safety finding only because caller.py submits ``issue`` to a
+#: process pool: the callee alone is not worker-reachable.
+CALLEE_UNSAFE = """
+_SEEN = []
+
+
+def issue(point):
+    _SEEN.append(point)
+    return [point]
 """
 
 
@@ -51,8 +57,8 @@ class TestTransitiveInvalidation:
         tree = tmp_path / "proj"
         write_tree(tree)
         cache = str(tmp_path / "cache")
-        LintEngine(["hot-loop-alloc"], cache_dir=cache).run([str(tree)])
-        engine = LintEngine(["hot-loop-alloc"], cache_dir=cache)
+        LintEngine(["fork-safety"], cache_dir=cache).run([str(tree)])
+        engine = LintEngine(["fork-safety"], cache_dir=cache)
         assert engine.run([str(tree)]) == []
         assert engine.cache_stats.project_hits == 1
         assert engine.cache_stats.project_misses == 0
@@ -61,25 +67,25 @@ class TestTransitiveInvalidation:
         tree = tmp_path / "proj"
         write_tree(tree)
         cache = str(tmp_path / "cache")
-        first = LintEngine(["hot-loop-alloc"], cache_dir=cache).run([str(tree)])
+        first = LintEngine(["fork-safety"], cache_dir=cache).run([str(tree)])
         assert first == []
 
-        # Only the callee changes; the caller (which holds the entry
-        # point that makes the callee hot) is untouched and cache-warm.
-        write_tree(tree, callee=CALLEE_HOT)
-        engine = LintEngine(["hot-loop-alloc"], cache_dir=cache)
+        # Only the callee changes; the caller (whose pool submission
+        # makes the callee worker-reachable) is untouched and cache-warm.
+        write_tree(tree, callee=CALLEE_UNSAFE)
+        engine = LintEngine(["fork-safety"], cache_dir=cache)
         diags = engine.run([str(tree)])
         assert engine.cache_stats.project_hits == 0
         assert engine.cache_stats.project_misses == 1
-        assert [d.rule for d in diags] == ["hot-loop-alloc"]
+        assert [d.rule for d in diags] == ["fork-safety"]
         assert diags[0].path.endswith("callee.py")
 
     def test_cached_project_diags_match_fresh_ones(self, tmp_path):
         tree = tmp_path / "proj"
-        write_tree(tree, callee=CALLEE_HOT)
+        write_tree(tree, callee=CALLEE_UNSAFE)
         cache = str(tmp_path / "cache")
-        fresh = LintEngine(["hot-loop-alloc"], cache_dir=cache).run([str(tree)])
-        cached = LintEngine(["hot-loop-alloc"], cache_dir=cache).run([str(tree)])
+        fresh = LintEngine(["fork-safety"], cache_dir=cache).run([str(tree)])
+        cached = LintEngine(["fork-safety"], cache_dir=cache).run([str(tree)])
         assert [d.format() for d in cached] == [d.format() for d in fresh]
         assert fresh, "scenario should produce a finding"
 
@@ -141,14 +147,14 @@ class TestChangedScope:
         assert lint_main([]) == 1  # unrelated.py's determinism finding
         capsys.readouterr()
 
-        write_tree(repo / "src", callee=CALLEE_HOT)
+        write_tree(repo / "src", callee=CALLEE_UNSAFE)
         assert lint_main(["--changed", "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         rules = {d["rule"] for d in payload["diagnostics"]}
         paths = {os.path.basename(d["path"]) for d in payload["diagnostics"]}
-        # The hot-loop finding needs caller.py's entry point in scope,
-        # so the dependent was linted; unrelated.py was not.
-        assert rules == {"hot-loop-alloc"}
+        # The fork-safety finding needs caller.py's pool submission in
+        # scope, so the dependent was linted; unrelated.py was not.
+        assert rules == {"fork-safety"}
         assert paths == {"callee.py"}
 
     def test_changed_rejects_explicit_paths(self, repo, capsys):
@@ -156,7 +162,7 @@ class TestChangedScope:
         assert "mutually exclusive" in capsys.readouterr().err
 
     def test_cold_cache_widens_to_a_full_run(self, repo, capsys):
-        write_tree(repo / "src", callee=CALLEE_HOT)
+        write_tree(repo / "src", callee=CALLEE_UNSAFE)
         # No warm-up run: the deps map does not exist yet.
         assert lint_main(["--changed"]) == 1
         captured = capsys.readouterr()

@@ -227,4 +227,4 @@ class TestResultProperties:
         assert all(a <= cpu_result.max_iq_avf + 1e-12 for a in cpu_result.warm_iq_interval_avf)
 
     def test_per_thread_ipc_sums_to_ipc(self, cpu_result):
-        assert sum(cpu_result.per_thread_ipc) == pytest.approx(cpu_result.ipc)
+        assert sum(cpu_result.per_thread_committed) == cpu_result.committed

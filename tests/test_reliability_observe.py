@@ -26,6 +26,7 @@ from repro.reliability.gate import (
 )
 from repro.reliability.observe import SLOT_BIN, ReliabilityObserver
 from repro.telemetry.bus import EventBus
+from tests.golden_grid import pinned_stats
 
 L = 100  # interval length used throughout
 
@@ -80,12 +81,8 @@ class TestObserverStream:
         rep = obs.report(300)
         for s, enum_s in (("iq", Structure.IQ), ("rob", Structure.ROB),
                           ("fu", Structure.FU)):
-            assert rep.oracle_interval_avf[s] == pytest.approx(
-                acct.interval_avf(enum_s)
-            ), s
-            assert rep.oracle_overall_avf[s] == pytest.approx(
-                acct.overall_avf(enum_s)
-            ), s
+            assert rep.oracle_interval_avf[s] == acct.interval_avf(enum_s), s
+            assert rep.oracle_overall_avf[s] == acct.overall_avf(enum_s), s
         assert rep.attributions == 2
 
     def test_per_thread_shares(self):
@@ -109,9 +106,7 @@ class TestObserverStream:
         acct.close(L)
         rep = obs.report(L)
         assert rep.rf_lifetimes == 1
-        assert rep.oracle_overall_avf["rf"] == pytest.approx(
-            acct.overall_avf(Structure.RF)
-        )
+        assert rep.oracle_overall_avf["rf"] == acct.overall_avf(Structure.RF)
         assert rep.residency["rf_lifetime"]["count"] == 1
 
     def test_heatmap_spreads_residency_across_intervals(self):
@@ -182,12 +177,8 @@ class TestObservedRun:
         result, observer, _ = observed
         rep = observer.report(result.cycles)
         assert rep.attributions > 0
-        assert rep.oracle_overall_avf["iq"] == pytest.approx(
-            result.overall_avf[Structure.IQ], rel=1e-9
-        )
-        assert rep.oracle_interval_avf["iq"] == pytest.approx(
-            result.iq_interval_avf
-        )
+        assert rep.oracle_overall_avf["iq"] == result.overall_avf[Structure.IQ]
+        assert rep.oracle_interval_avf["iq"] == result.iq_interval_avf
 
     def test_online_series_and_divergence(self, observed):
         result, observer, _ = observed
@@ -225,8 +216,7 @@ class TestObservedRun:
             profile_window=2_000,
         )
         plain = run_sim("MEM-A", scale, dvm_target=0.3)
-        assert plain.iq_avf == pytest.approx(result.iq_avf)
-        assert plain.ipc == pytest.approx(result.ipc)
+        assert pinned_stats(plain) == pinned_stats(result)
 
 
 # ----------------------------------------------------------------------
