@@ -63,6 +63,10 @@ from repro.telemetry.topics import (
 #: Max threads fetched per cycle (ICOUNT.2.8-style front end).
 _FETCH_THREADS_PER_CYCLE = 2
 
+#: Opclass sets the functional warm-up tests by membership.
+_MEM_OPS = frozenset(op for op in OpClass if op.is_mem)
+_CONTROL_OPS = frozenset(op for op in OpClass if op.is_control)
+
 
 @dataclass
 class IntervalRecord:
@@ -854,39 +858,79 @@ class SMTPipeline:
         predictor, caches and TLBs before timing begins — SimPoint
         semantics: the detailed simulation *continues from* the
         fast-forwarded point (the timed region is preceded, not
-        pre-touched, by the warm-up region)."""
+        pre-touched, by the warm-up region).
+
+        Each thread is walked a basic block at a time: the straight-line
+        body steps the context inline, and only a block's control
+        terminator goes through ``resolve_control``/``advance_control``
+        and the predictor.  The cache, TLB and predictor operations are
+        the same, in the same order, as one ``peek``/``advance`` per
+        instruction.
+        """
         n_insts = self.sim.bp_warmup_instructions
         if n_insts <= 0:
             return
         iline_shift = self._iline_shift
-        for t, program in enumerate(self.programs):
-            ctx = self.contexts[t]  # advanced in place: timing continues here
+        access_instr = self.mem.access_instr
+        access_data = self.mem.access_data
+        bp = self.bp
+        store, branch, call, ret = OpClass.STORE, OpClass.BRANCH, OpClass.CALL, OpClass.RET
+        for t, ctx in enumerate(self.contexts):  # advanced in place: timing continues here
+            blocks = ctx.program.blocks
+            mem_address = ctx.mem_address
             last_line = -1
-            for _ in range(n_insts):
-                st = ctx.peek()
-                line = st.pc >> iline_shift
+            left = n_insts
+            while left:
+                block = blocks[ctx.block]
+                insts = block.insts
+                index = ctx.index
+                pos = ctx.stream_pos
+                term = insts[-1]
+                body_end = len(insts)
+                if term.opclass in _CONTROL_OPS:
+                    body_end -= 1
+                stop = min(body_end, index + left)
+                for st in insts[index:stop]:
+                    pc = st.pc
+                    line = pc >> iline_shift
+                    if line != last_line:
+                        access_instr(pc, t)
+                        last_line = line
+                    op = st.opclass
+                    if op in _MEM_OPS:
+                        access_data(mem_address(st, pos), t, is_write=op is store)
+                    pos += 1
+                left -= stop - index
+                ctx.stream_pos = pos
+                if stop < body_end:  # the budget ends inside the body
+                    ctx.index = stop
+                    break
+                if body_end == len(insts):  # no terminator: fall through
+                    ctx.block = block.fall_block
+                    ctx.index = 0
+                    continue
+                ctx.index = body_end
+                if not left:
+                    break
+                pc = term.pc
+                line = pc >> iline_shift
                 if line != last_line:
-                    self.mem.access_instr(st.pc, t)
+                    access_instr(pc, t)
                     last_line = line
-                op = st.opclass
-                if op.is_mem:
-                    addr = ctx.mem_address(st, ctx.stream_pos)
-                    self.mem.access_data(addr, t, is_write=(op == OpClass.STORE))
-                if op.is_control:
-                    taken, target = ctx.resolve_control(st)
-                    if op == OpClass.BRANCH:
-                        pred, idx = self.bp.predict_direction(st.pc, t)
-                        self.bp.update_direction(st.pc, t, taken, pred, idx)
-                        if taken:
-                            self.bp.btb_update(st.pc, st.taken_block)
-                    elif op == OpClass.CALL:
-                        self.bp.ras_push(t, st.fall_block if st.fall_block >= 0 else 0)
-                    elif op == OpClass.RET:
-                        self.bp.ras_pop(t)
-                    ctx.advance_control(st, taken, target)
-                else:
-                    ctx.advance()
-        self.bp.reset_stats()  # warm-up predictions don't count
+                op = term.opclass
+                taken, target = ctx.resolve_control(term)
+                if op is branch:
+                    pred, idx = bp.predict_direction(pc, t)
+                    bp.update_direction(pc, t, taken, pred, idx)
+                    if taken:
+                        bp.btb_update(pc, term.taken_block)
+                elif op is call:
+                    bp.ras_push(t, term.fall_block if term.fall_block >= 0 else 0)
+                elif op is ret:
+                    bp.ras_pop(t)
+                ctx.advance_control(term, taken, target)
+                left -= 1
+        bp.reset_stats()  # warm-up predictions don't count
         self.mem.reset_stats()  # warm-up accesses don't count
 
     def _stage_hooks(

@@ -149,7 +149,7 @@ class ThreadContext:
     :meth:`restore` when the branch executes.
     """
 
-    __slots__ = ("program", "seed", "block", "index", "stream_pos", "call_stack", "fetched")
+    __slots__ = ("program", "seed", "block", "index", "stream_pos", "call_stack")
 
     MAX_CALL_DEPTH = 16
 
@@ -160,7 +160,6 @@ class ThreadContext:
         self.index = 0
         self.stream_pos = 0
         self.call_stack: list[int] = []
-        self.fetched = 0  # total instructions handed to the fetch unit
 
     # ------------------------------------------------------------------
     # Fetch-point inspection
@@ -249,7 +248,6 @@ class ThreadContext:
     def advance(self) -> None:
         """Advance past a non-control instruction."""
         self.stream_pos += 1
-        self.fetched += 1
         block = self.program.blocks[self.block]
         if self.index + 1 < len(block.insts):
             self.index += 1
@@ -265,7 +263,6 @@ class ThreadContext:
         branch the caller passes ``st.fall_block``.
         """
         self.stream_pos += 1
-        self.fetched += 1
         op = st.opclass
         if op == OpClass.CALL:
             if len(self.call_stack) >= self.MAX_CALL_DEPTH:

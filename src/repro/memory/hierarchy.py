@@ -33,6 +33,17 @@ class AccessResult:
     tlb_miss: bool
 
 
+def _outcomes(l1: int, l2: int, dram: int, tlb_miss: int) -> tuple[AccessResult, ...]:
+    """The six possible results of one access kind, indexed by
+    ``3 * tlb_miss + level`` with level 0 = L1 hit, 1 = L2 hit, 2 = DRAM."""
+    latency = (l1, l1 + l2, l1 + l2 + dram)
+    return tuple(
+        AccessResult(latency[level] + penalty, level > 0, level == 2, penalty > 0)
+        for penalty in (0, tlb_miss)
+        for level in range(3)
+    )
+
+
 class MemoryHierarchy:
     """Shared L1I/L1D + unified L2 + DRAM, with ITLB/DTLB."""
 
@@ -44,7 +55,16 @@ class MemoryHierarchy:
         self.l2 = SetAssocCache(machine.l2, "L2")
         self.itlb = TLB(machine.itlb, "ITLB")
         self.dtlb = TLB(machine.dtlb, "DTLB")
-        self.memory_latency = machine.memory_latency
+        # Accesses return shared, immutable outcomes: nothing is
+        # allocated per access.
+        self._iresults = _outcomes(
+            machine.l1i.latency, machine.l2.latency, machine.memory_latency,
+            machine.itlb.miss_latency,
+        )
+        self._dresults = _outcomes(
+            machine.l1d.latency, machine.l2.latency, machine.memory_latency,
+            machine.dtlb.miss_latency,
+        )
         # Running counters the fetch policies / Optimization 2 consume.
         self.l2_miss_count = 0
         self.l2_data_miss_count = 0
@@ -62,31 +82,25 @@ class MemoryHierarchy:
     def access_instr(self, addr: int, thread: int) -> AccessResult:
         """Instruction fetch access: ITLB + L1I + (L2 + DRAM)."""
         a = self.thread_addr(addr, thread)
-        tlb_penalty = self.itlb.access(a)
-        latency = self.machine.l1i.latency + tlb_penalty
+        row = 3 if self.itlb.access(a) else 0
         if self.l1i.access(a):
-            return AccessResult(latency, False, False, tlb_penalty > 0)
-        latency += self.machine.l2.latency
+            return self._iresults[row]
         if self.l2.access(a):
-            return AccessResult(latency, True, False, tlb_penalty > 0)
+            return self._iresults[row + 1]
         self.l2_miss_count += 1
-        latency += self.memory_latency
-        return AccessResult(latency, True, True, tlb_penalty > 0)
+        return self._iresults[row + 2]
 
     def access_data(self, addr: int, thread: int, is_write: bool = False) -> AccessResult:
         """Data access: DTLB + L1D + (L2 + DRAM)."""
         a = self.thread_addr(addr, thread)
-        tlb_penalty = self.dtlb.access(a)
-        latency = self.machine.l1d.latency + tlb_penalty
+        row = 3 if self.dtlb.access(a) else 0
         if self.l1d.access(a, is_write):
-            return AccessResult(latency, False, False, tlb_penalty > 0)
-        latency += self.machine.l2.latency
+            return self._dresults[row]
         if self.l2.access(a, is_write):
-            return AccessResult(latency, True, False, tlb_penalty > 0)
+            return self._dresults[row + 1]
         self.l2_miss_count += 1
         self.l2_data_miss_count += 1
-        latency += self.memory_latency
-        return AccessResult(latency, True, True, tlb_penalty > 0)
+        return self._dresults[row + 2]
 
     def reset_stats(self) -> None:
         for c in (self.l1i, self.l1d, self.l2):

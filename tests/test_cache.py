@@ -94,6 +94,42 @@ class TestLRUReplacement:
             assert c.access(a) is True
 
 
+class TestRecencyOrder:
+    """One 4-way set: ``_sets[0]`` lists the tags most-recent-first."""
+
+    A, B, C = 0x0, 0x40, 0x80
+
+    def filled(self):
+        c = small_cache(assoc=4, sets=1)
+        for addr in (self.A, self.B, self.C):
+            c.access(addr)
+        return c
+
+    @staticmethod
+    def order(c, *addrs):
+        return c._sets[0] == [a >> 6 for a in addrs]
+
+    def test_mru_rehit_keeps_order(self):
+        c = self.filled()
+        assert c.access(self.C) is True
+        assert self.order(c, self.C, self.B, self.A)
+        assert (c.stats.hits, c.stats.misses) == (1, 3)
+
+    def test_non_mru_hit_moves_to_front(self):
+        c = self.filled()
+        assert c.access(self.A) is True
+        assert self.order(c, self.A, self.C, self.B)
+        assert (c.stats.hits, c.stats.misses) == (1, 3)
+
+    def test_write_hit_counts_writes(self):
+        c = self.filled()
+        assert c.access(self.B, is_write=True) is True
+        assert self.order(c, self.B, self.C, self.A)
+        assert (c.stats.accesses, c.stats.hits, c.stats.writes) == (4, 1, 1)
+        assert c.access(self.B, is_write=True) is True  # an MRU write hit too
+        assert (c.stats.accesses, c.stats.hits, c.stats.writes) == (5, 2, 2)
+
+
 class TestGeometry:
     def test_indexing_distributes_across_sets(self):
         c = small_cache(assoc=1, sets=4, line=64)

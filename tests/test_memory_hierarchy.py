@@ -100,6 +100,54 @@ class TestHierarchyTiming:
         assert self.mem.l1d.stats.accesses == 0
 
 
+class TestAccessOutcomes:
+    """Every (TLB, cache level) outcome of both access kinds, against the
+    latencies of the machine configuration."""
+
+    KINDS = {
+        "instr": ("l1i", "itlb", lambda mem, a: mem.access_instr(a, 0)),
+        "data": ("l1d", "dtlb", lambda mem, a: mem.access_data(a, 0)),
+    }
+
+    @pytest.mark.parametrize("level", [0, 1, 2], ids=["l1", "l2", "dram"])
+    @pytest.mark.parametrize("tlb_miss", [False, True], ids=["tlb_hit", "tlb_miss"])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_outcome_matches_config(self, kind, tlb_miss, level):
+        l1_name, tlb_name, access = self.KINDS[kind]
+        m = MachineConfig()
+        mem = MemoryHierarchy(m)
+        addr = 0x7000
+        access(mem, addr)  # every level now holds the line
+        if tlb_miss:
+            getattr(mem, tlb_name).invalidate_all()
+        if level >= 1:
+            getattr(mem, l1_name).invalidate_all()
+        if level == 2:
+            mem.l2.invalidate_all()
+        misses_before = mem.l2_miss_count
+        res = access(mem, addr)
+        expected = getattr(m, l1_name).latency
+        if level >= 1:
+            expected += m.l2.latency
+        if level == 2:
+            expected += m.memory_latency
+        if tlb_miss:
+            expected += getattr(m, tlb_name).miss_latency
+        assert res.latency == expected
+        assert res.l1_miss == (level >= 1)
+        assert res.l2_miss == (level == 2)
+        assert res.tlb_miss == tlb_miss
+        assert mem.l2_miss_count == misses_before + (level == 2)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_equal_outcomes_are_the_same_object(self, kind):
+        _, _, access = self.KINDS[kind]
+        mem = MemoryHierarchy(MachineConfig())
+        cold_a, cold_b = access(mem, 0x10000), access(mem, 0x80000)
+        assert cold_a is cold_b
+        assert access(mem, 0x10000) is access(mem, 0x80000)
+
+
 class TestThreadIsolation:
     def setup_method(self):
         self.mem = MemoryHierarchy(MachineConfig())
