@@ -13,8 +13,8 @@ SoA-feasibility verdicts — ``--write-contract`` persists the canonical
 ``backend-contract.json``, ``--diff`` gates on drift against it.
 
 ``--changed`` scopes the run to the files the git working tree touched
-plus their reverse import-dependent closure from the incremental
-cache — the fast pre-commit mode.
+plus their reverse import-dependent closure and everything that closure
+imports, from the incremental cache — the fast pre-commit mode.
 """
 
 from __future__ import annotations
@@ -131,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--changed",
         action="store_true",
         help="lint only files changed in the git working tree plus their "
-        "reverse import-dependents from the incremental cache",
+        "reverse import-dependents and the modules those import, from the "
+        "incremental cache",
     )
     return parser
 
@@ -202,10 +203,21 @@ def _changed_scope(args: argparse.Namespace) -> list[str] | None:
     known = {os.path.normpath(p) for p in deps}
     normalized = {os.path.normpath(p) for p in changed}
     scope = set(changed)
-    dependents = cache.reverse_dependents(
-        {p for p in deps if os.path.normpath(p) in normalized}
-    )
+    seeds = {p for p in deps if os.path.normpath(p) in normalized}
+    dependents = cache.reverse_dependents(seeds)
     scope.update(dependents)
+    # Project rules read what a module imports too (a callee's state
+    # writes, a pool-submitted function's body), so the scope also holds
+    # the forward import closure; linting an importer without its
+    # callees would judge a partial program.
+    work = sorted(seeds | dependents)
+    imported = set(work)
+    while work:
+        for dep in deps.get(work.pop(), ()):
+            if dep not in imported:
+                imported.add(dep)
+                work.append(dep)
+    scope.update(imported - seeds)
     # Changed files outside the scanned roots (e.g. a new script) still
     # lint individually even though the deps map has never seen them.
     scope.update(p for p in changed if os.path.normpath(p) not in known)

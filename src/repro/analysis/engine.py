@@ -414,7 +414,8 @@ def _import_deps(project: "Any") -> dict[str, list[str]]:
 
     An import of ``m.C`` depends on module ``m``; targets outside the
     scanned file set contribute no edge.  ``repro.lint --changed``
-    inverts this map to find the reverse-dependent closure of a diff.
+    walks it both ways to scope a diff: its reverse-dependent closure
+    and everything that imports.
     """
     deps: dict[str, list[str]] = {}
     for _, mod in sorted(project.modules.items()):

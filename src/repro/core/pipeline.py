@@ -229,10 +229,6 @@ class _LapStamp:
         self._bus.stage = label
 
 
-def _no_cycle_hook(cycle: int) -> None:
-    pass
-
-
 class SMTPipeline:
     """Cycle-level SMT processor simulation of one workload mix."""
 
@@ -249,7 +245,6 @@ class SMTPipeline:
         avf_layout: AVFBitLayout | None = None,
         bus: EventBus | None = None,
         profiler: StageProfiler | None = None,
-        telemetry: bool = True,
     ):
         if not programs:
             raise ValueError("at least one program (thread) is required")
@@ -345,23 +340,17 @@ class SMTPipeline:
 
         # Telemetry: the event bus is shared with every controller so
         # their decisions carry the pipeline's cycle/stage stamps.
-        # ``telemetry=False`` runs the bare pre-instrumentation loop
-        # (used by the overhead smoke check as the baseline).
-        self.telemetry = telemetry
         self.bus = bus if bus is not None else EventBus()
         self.profiler = profiler
         self.metrics = MetricsRegistry()
-        if telemetry:
-            if self.dvm is not None:
-                self.dvm.bus = self.bus
-                self.dvm.structure = (
-                    "rob" if dvm_structure == Structure.ROB else "iq"
-                )
-            self.dispatch_policy.bus = self.bus
-            self.base_fetch_policy.bus = self.bus
-            self._flush_policy.bus = self.bus
-            self.avf.bus = self.bus
-            self.analyzer.bus = self.bus
+        if self.dvm is not None:
+            self.dvm.bus = self.bus
+            self.dvm.structure = "rob" if dvm_structure == Structure.ROB else "iq"
+        self.dispatch_policy.bus = self.bus
+        self.base_fetch_policy.bus = self.bus
+        self._flush_policy.bus = self.bus
+        self.avf.bus = self.bus
+        self.analyzer.bus = self.bus
         # Hot-topic wants() flags, re-read only when the bus's
         # subscription version changes (zero-subscriber fast path).
         self._bus_version = -1
@@ -941,9 +930,8 @@ class SMTPipeline:
         Returns ``(stamp, begin_cycle, end_loop)``: :meth:`run` sets
         ``stamp.stage`` before each stage, calls ``begin_cycle(cycle)``
         at the top of every cycle and ``end_loop()`` after the last.
-        A bare run (telemetry off, no profiler) only labels the bus,
-        which emits nothing then; a telemetry run also stamps the cycle and
-        re-reads the hot-topic flags when subscriptions change (so the
+        The default run labels the bus, stamps the cycle and re-reads
+        the hot-topic flags when subscriptions change (so the
         zero-subscriber loop never rechecks them); a profiled run also
         laps the profiler on every label.
         """
@@ -962,7 +950,7 @@ class SMTPipeline:
             bus.stage = ""
 
         if profiler is None:
-            return bus, stamp_cycle if self.telemetry else _no_cycle_hook, clear_stage
+            return bus, stamp_cycle, clear_stage
         laps = _LapStamp(bus, profiler)
 
         def lap_cycle(cycle: int) -> None:
@@ -1024,8 +1012,8 @@ class SMTPipeline:
         DVM-governable structure, once the oracle interval AVF is final
         (the oracle attributes retroactively, so this cannot stream).
         """
-        bus = self.bus if self.telemetry else None
-        if bus is None or not bus.wants(TOPIC_RELIABILITY_DIVERGENCE):
+        bus = self.bus
+        if not bus.wants(TOPIC_RELIABILITY_DIVERGENCE):
             return
         for structure, name in ((Structure.IQ, "iq"), (Structure.ROB, "rob")):
             oracle = self.avf.interval_avf(structure)
@@ -1091,9 +1079,6 @@ class SMTPipeline:
         hist = self._hist.copy() if self._hist is not None else None
         hist_ace = self._hist_ace.copy() if self._hist_ace is not None else None
         self._publish_metrics(final_cycle)
-        manifest = (
-            collect_manifest(self.machine, self.sim) if self.telemetry else None
-        )
         return SimulationResult(
             cycles=final_cycle,
             warmup_cycles=min(self.sim.warmup_cycles, final_cycle),
@@ -1118,6 +1103,6 @@ class SMTPipeline:
             dvm_mean_ratio=(
                 self.dvm.stats.mean_ratio if self.dvm is not None else None
             ),
-            manifest=manifest,
+            manifest=collect_manifest(self.machine, self.sim),
             metrics=self.metrics.snapshot(),
         )

@@ -10,10 +10,10 @@ Layers (see the "Performance observability" section of
   (Perfetto / about:tracing) plus schema/nesting validation;
 * :mod:`repro.perf.bench` — the deterministic hot-path benchmark
   suite (min-of-N wall clock at the pinned :data:`PERF_SCALE`);
-* :mod:`repro.perf.history` — the committed ``BENCH_perf.json``
-  trajectory of provenance-stamped entries;
-* :mod:`repro.perf.compare` — the regression comparator gating
-  current results against the history window;
+* :mod:`repro.perf.history` — the committed ``BENCH_perf.json`` and
+  ``BENCH_reliability.json`` trajectories of provenance-stamped
+  entries, and the one band check gating current results against a
+  history window (per-kind rules for wall time and reliability);
 * :mod:`repro.perf.cli` — the ``repro perf run/compare/trace``
   commands.
 """
@@ -33,15 +33,13 @@ from repro.perf.chrome_trace import (
     validate_trace,
     write_chrome_trace,
 )
-from repro.perf.compare import (
-    CaseComparison,
-    ComparisonReport,
-    baseline_seconds,
-    compare_results,
-)
 from repro.perf.history import (
     DEFAULT_HISTORY_PATH,
+    BandCase,
+    BandReport,
     append_entry,
+    baseline,
+    compare,
     entries_of_kind,
     load_history,
     make_entry,
@@ -60,12 +58,12 @@ __all__ = [
     "read_trace",
     "validate_trace",
     "write_chrome_trace",
-    "CaseComparison",
-    "ComparisonReport",
-    "baseline_seconds",
-    "compare_results",
     "DEFAULT_HISTORY_PATH",
+    "BandCase",
+    "BandReport",
     "append_entry",
+    "baseline",
+    "compare",
     "entries_of_kind",
     "load_history",
     "make_entry",

@@ -1,6 +1,6 @@
 """Deterministic hot-path benchmark suite (min-of-N wall clock).
 
-The cases cover the paths every perf-sensitive PR touches: the bare
+The cases cover the paths every perf-sensitive PR touches: the
 pipeline cycle loop, issue/select scheduling, the DVM controller's
 interval-rate decision path, the interval resource allocator, a
 warm-cache lint run, backend-contract extraction, and the parallel
@@ -11,9 +11,8 @@ are fixed by :data:`PERF_SCALE` (or an explicit scale) and seeded
 generators, so two runs of a case execute the identical work — the
 wall-clock is the only nondeterminism, and min-of-N strips most of it.
 
-Results feed :mod:`repro.perf.history` (the committed
-``BENCH_perf.json`` trajectory) and :mod:`repro.perf.compare` (the
-regression gate).
+Results feed :mod:`repro.perf.history`: the committed
+``BENCH_perf.json`` trajectory and the band check that gates against it.
 
 Timing is the purpose of this module, so the determinism rule is
 suppressed; benchmark output never feeds simulated results.
@@ -76,9 +75,9 @@ class BenchResult:
 # Cases
 # ----------------------------------------------------------------------
 def _make_cycle_loop(mix_name: str) -> Callable[[BenchScale], Callable[[], None]]:
-    """Factory-of-factories for the pipeline cases: one bare run of
-    ``mix_name`` end to end (``SMTPipeline.run`` wall time, telemetry
-    off), functional warm-up included."""
+    """Factory-of-factories for the pipeline cases: one default run of
+    ``mix_name`` end to end (``SMTPipeline.run`` wall time, stage stamps
+    on, no subscribers), functional warm-up included."""
 
     def make(scale: BenchScale) -> Callable[[], None]:
         programs = get_programs(mix_name, scale)
@@ -86,7 +85,7 @@ def _make_cycle_loop(mix_name: str) -> Callable[[BenchScale], Callable[[], None]
         sim = scale.sim_config()
 
         def run() -> None:
-            SMTPipeline(programs, machine=machine, sim=sim, telemetry=False).run()
+            SMTPipeline(programs, machine=machine, sim=sim).run()
 
         return run
 
@@ -294,12 +293,12 @@ def _make_relay_roundtrip(scale: BenchScale) -> Callable[[], None]:
 BENCH_CASES: tuple[BenchCase, ...] = (
     BenchCase(
         "pipeline_cycle_loop",
-        "bare MIX-A simulation (telemetry off), full cycle loop",
+        "MIX-A simulation (default pipeline), full cycle loop",
         _make_pipeline_cycle_loop,
     ),
     BenchCase(
         "mem_cycle_loop",
-        "bare MEM-A simulation (telemetry off), full cycle loop",
+        "MEM-A simulation (default pipeline), full cycle loop",
         _make_mem_cycle_loop,
     ),
     BenchCase(

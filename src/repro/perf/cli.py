@@ -20,8 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import sys
-from typing import Any
+from typing import Any, Mapping
 
 from repro.harness.runner import BenchScale
 from repro.perf import history as perf_history
@@ -32,7 +31,6 @@ from repro.perf.bench import (
     run_benchmarks,
 )
 from repro.perf.chrome_trace import write_chrome_trace
-from repro.perf.compare import compare_results
 from repro.perf.spans import SpanTracer, TracingProfiler
 from repro.telemetry.provenance import collect_manifest
 from repro.workloads import MIXES
@@ -90,26 +88,23 @@ def cmd_perf_run(args: argparse.Namespace) -> int:
 
 
 def cmd_perf_compare(args: argparse.Namespace) -> int:
-    try:
-        history = perf_history.load_history(args.history)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.results:
-        with open(args.results) as fh:
-            doc = json.load(fh)
-        current: dict[str, Any] = doc.get("results", doc)
-    else:
+    def current() -> Mapping[str, Any]:
+        if args.results:
+            return perf_history.read_results(args.results)
         scale = _suite_scale(args)
-        current = run_benchmarks(args.bench or None, scale=scale, repeats=args.repeats)
+        results = run_benchmarks(args.bench or None, scale=scale, repeats=args.repeats)
         if args.out:
-            _save_results_json(args.out, current)
+            _save_results_json(args.out, results)
             print(f"results saved to {args.out}")
-    report = compare_results(
-        history, current, tolerance=args.tolerance, window=args.window
+        return results
+
+    return perf_history.run_gate(
+        args.history,
+        current,
+        kind=perf_history.KIND_PERF_SUITE,
+        tolerance=args.tolerance,
+        window=args.window,
     )
-    print(report.format())
-    return 0 if report.ok else 1
 
 
 def cmd_perf_trace(args: argparse.Namespace) -> int:

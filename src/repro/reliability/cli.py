@@ -24,10 +24,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import sys
+from typing import Any
 
 from repro.harness.runner import BenchScale
-from repro.perf.history import load_history
+from repro.perf.history import append_entry, read_results, run_gate
 from repro.reliability import gate
 from repro.workloads import MIXES
 
@@ -87,20 +87,25 @@ def cmd_avf_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _save_results_json(path: str, results: dict[str, float]) -> None:
+    with open(path, "w") as fh:
+        json.dump({"results": results}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"results saved to {path}")
+
+
 def cmd_avf_run(args: argparse.Namespace) -> int:
     scale = _scale(args)
     results = gate.headline_numbers(scale, mix=args.mix)
     for name in sorted(results):
         print(f"  {name:<18s} {results[name]:9.5f}")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump({"results": results}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"results saved to {args.out}")
+        _save_results_json(args.out, results)
     if not args.no_history:
-        entry = gate.record_reliability(
+        entry = append_entry(
             args.history,
             results,
+            kind=gate.KIND_RELIABILITY,
             context={
                 "mix": args.mix,
                 "max_cycles": scale.max_cycles,
@@ -115,31 +120,21 @@ def cmd_avf_run(args: argparse.Namespace) -> int:
 
 
 def cmd_avf_compare(args: argparse.Namespace) -> int:
-    try:
-        history = load_history(args.history)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.results:
-        with open(args.results) as fh:
-            doc = json.load(fh)
-        current = {
-            name: float(v["value"] if isinstance(v, dict) else v)
-            for name, v in doc.get("results", doc).items()
-        }
-    else:
-        scale = _scale(args)
-        current = gate.headline_numbers(scale, mix=args.mix)
+    def current() -> dict[str, Any]:
+        if args.results:
+            return read_results(args.results)
+        results = gate.headline_numbers(_scale(args), mix=args.mix)
         if args.out:
-            with open(args.out, "w") as fh:
-                json.dump({"results": current}, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"results saved to {args.out}")
-    report = gate.compare_reliability(
-        history, current, tolerance=args.tolerance, window=args.window
+            _save_results_json(args.out, results)
+        return results
+
+    return run_gate(
+        args.history,
+        current,
+        kind=gate.KIND_RELIABILITY,
+        tolerance=args.tolerance,
+        window=args.window,
     )
-    print(report.format())
-    return 0 if report.ok else 1
 
 
 def register_avf_cli(sub: argparse._SubParsersAction) -> None:

@@ -1,34 +1,21 @@
-"""``BENCH_reliability.json``: the committed reliability trajectory.
+"""``BENCH_reliability.json``: the paper's headline reliability numbers.
 
-The perf gate (:mod:`repro.perf.history` / :mod:`repro.perf.compare`)
-pins *wall time*; this module reuses the same history machinery to pin
-the paper's *headline reliability numbers* — baseline IQ AVF and the
-VISA+DVM AVF reduction — so a change that silently shifts the physics
-(a scheduler tweak, an accountant bug) fails CI the same way a 2×
-slowdown does.
-
-Unlike wall time, reliability values are deterministic for a given
-seed, but must drift in *neither* direction: a "better" AVF reduction
-out of nowhere is as suspicious as a worse one.  The comparator is
-therefore a symmetric tolerance band around the **median** of the
-recent history window:
-
-    |current - baseline| <= tolerance * max(|baseline|, floor)
+The perf history pins *wall time*; ``BENCH_reliability.json`` pins the
+*headline reliability numbers* — baseline IQ AVF and the VISA+DVM AVF
+reduction — so a change that silently shifts the physics (a scheduler
+tweak, an accountant bug) fails CI the same way a 2× slowdown does.
+This module computes those numbers; the history layout and the band
+check are :mod:`repro.perf.history`'s, whose ``reliability-suite`` rule
+is a two-sided band around the **median** of the recent window: a
+"better" AVF reduction out of nowhere is as suspicious as a worse one.
 
 ``repro avf run`` appends an entry; ``repro avf compare`` gates.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Any, Mapping
-
 from repro.harness.runner import BenchScale, run_sim
-from repro.perf.history import append_entry, entries_of_kind
-
-#: Entry kind in the shared history-document layout.
-KIND_RELIABILITY = "reliability-suite"
+from repro.perf.history import DRIFT_FLOOR, KIND_RELIABILITY
 
 #: Default committed location, beside BENCH_perf.json.
 DEFAULT_RELIABILITY_HISTORY = "BENCH_reliability.json"
@@ -40,15 +27,6 @@ HEADLINE_MIX = "MEM-A"
 #: DVM reliability target as a fraction of the baseline's peak online
 #: estimate (matching the ``repro perf trace`` convention).
 DVM_TARGET_FRACTION = 0.5
-
-#: Relative-drift denominator floor — keeps near-zero baselines from
-#: turning the relative band into an equality test.
-DRIFT_FLOOR = 1e-9
-
-STATUS_OK = "ok"
-STATUS_DRIFT = "drift"
-STATUS_NEW = "new"
-STATUS_INVALID = "invalid"
 
 
 def headline_numbers(
@@ -75,162 +53,11 @@ def headline_numbers(
     }
 
 
-@dataclass(frozen=True)
-class DriftCase:
-    """One headline number's verdict against its history baseline."""
-
-    name: str
-    status: str
-    current: float
-    baseline: float | None = None
-
-    @property
-    def drift(self) -> float | None:
-        """Relative drift vs. baseline; None without a baseline."""
-        if self.baseline is None:
-            return None
-        denom = max(abs(self.baseline), DRIFT_FLOOR)
-        return (self.current - self.baseline) / denom
-
-
-@dataclass(frozen=True)
-class DriftReport:
-    """Whole-suite reliability-drift outcome."""
-
-    cases: tuple[DriftCase, ...]
-    tolerance: float
-    window: int
-
-    @property
-    def drifted(self) -> tuple[DriftCase, ...]:
-        return tuple(c for c in self.cases if c.status == STATUS_DRIFT)
-
-    @property
-    def invalid(self) -> tuple[DriftCase, ...]:
-        return tuple(c for c in self.cases if c.status == STATUS_INVALID)
-
-    @property
-    def ok(self) -> bool:
-        return not self.drifted and not self.invalid
-
-    def format(self) -> str:
-        lines = [
-            f"reliability drift gate (band ±{self.tolerance * 100:.1f}%, "
-            f"baseline = median of last {self.window} entries)"
-        ]
-        width = max((len(c.name) for c in self.cases), default=4)
-        for c in self.cases:
-            if c.baseline is None:
-                base, delta = "        -", "      -"
-            else:
-                base = f"{c.baseline:9.5f}"
-                d = c.drift
-                delta = f"{d * 100:+6.2f}%" if d is not None else "      -"
-            lines.append(
-                f"  {c.name:<{width}s}  {c.current:9.5f}  vs {base}  {delta}  "
-                f"[{c.status}]"
-            )
-        verdict = "PASS" if self.ok else "FAIL"
-        lines.append(
-            f"{verdict}: {len(self.drifted)} drifted, {len(self.invalid)} "
-            f"invalid, {sum(1 for c in self.cases if c.status == STATUS_NEW)} new"
-        )
-        return "\n".join(lines)
-
-
-def _entry_value(entry: Mapping[str, Any], name: str) -> float | None:
-    result = entry.get("results", {}).get(name)
-    value = result.get("value") if isinstance(result, Mapping) else result
-    if isinstance(value, (int, float)) and math.isfinite(value):
-        return float(value)
-    return None
-
-
-def baseline_value(
-    history: Mapping[str, Any],
-    name: str,
-    *,
-    window: int = 5,
-    kind: str = KIND_RELIABILITY,
-) -> float | None:
-    """Median of ``name`` over the last ``window`` usable entries.
-
-    The median (not the min): reliability numbers must not drift in
-    either direction, so the baseline is the recent consensus, robust
-    to a single odd historical entry.
-    """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    values = [
-        v
-        for entry in entries_of_kind(history, kind)[-window:]
-        if (v := _entry_value(entry, name)) is not None
-    ]
-    if not values:
-        return None
-    values.sort()
-    mid = len(values) // 2
-    if len(values) % 2:
-        return values[mid]
-    return (values[mid - 1] + values[mid]) / 2.0
-
-
-def compare_reliability(
-    history: Mapping[str, Any],
-    current: Mapping[str, float],
-    *,
-    tolerance: float = 0.05,
-    window: int = 5,
-    kind: str = KIND_RELIABILITY,
-) -> DriftReport:
-    """Two-sided drift comparison of ``current`` against the window."""
-    if tolerance < 0:
-        raise ValueError("tolerance must be >= 0")
-    cases: list[DriftCase] = []
-    for name in sorted(current):
-        cur = current[name]
-        base = baseline_value(history, name, window=window, kind=kind)
-        if not isinstance(cur, (int, float)) or not math.isfinite(cur):
-            status = STATUS_INVALID
-            cur = float("nan")
-        elif base is None:
-            status = STATUS_NEW
-        elif abs(cur - base) > tolerance * max(abs(base), DRIFT_FLOOR):
-            status = STATUS_DRIFT
-        else:
-            status = STATUS_OK
-        cases.append(DriftCase(name, status, float(cur), base))
-    return DriftReport(tuple(cases), tolerance, window)
-
-
-def record_reliability(
-    path: str,
-    results: Mapping[str, float],
-    *,
-    context: Mapping[str, Any] | None = None,
-) -> dict[str, Any]:
-    """Append one reliability entry to the shared history layout.
-
-    Values are wrapped as ``{"value": v}`` so the perf comparator's
-    ``best_s`` convention never misreads them.
-    """
-    return append_entry(
-        path,
-        {name: {"value": float(v)} for name, v in results.items()},
-        kind=KIND_RELIABILITY,
-        context=context,
-    )
-
-
 __all__ = [
     "DEFAULT_RELIABILITY_HISTORY",
+    "DRIFT_FLOOR",
     "DVM_TARGET_FRACTION",
-    "DriftCase",
-    "DriftReport",
     "HEADLINE_MIX",
     "KIND_RELIABILITY",
-    "baseline_value",
-    "compare_reliability",
     "headline_numbers",
-    "record_reliability",
 ]

@@ -12,8 +12,6 @@ Layers (see ``docs/observability.md``):
 * :mod:`repro.telemetry.profiler` — per-stage wall-time self-profiler;
 * :mod:`repro.telemetry.timeline` — decision/interval recording and
   the ``repro timeline`` rendering;
-* :mod:`repro.telemetry.overhead` — the CI smoke check asserting the
-  zero-subscriber path stays within budget;
 * :mod:`repro.telemetry.relay` — the worker→parent cross-process
   event forwarder (bounded queue, batch+drop backpressure);
 * :mod:`repro.telemetry.export` — Prometheus text exposition, JSON

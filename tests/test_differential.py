@@ -171,7 +171,7 @@ class TestIssueStarvationRegression:
     def test_fu_burst_sustains_issue_bandwidth(self, hooks):
         """Periodic 17-wide FMULT bursts (wider than the old selection
         window) in a mostly-IALU stream: with starvation fixed the
-        machine sustains high IPC through each burst.  The bare loop
+        machine sustains high IPC through each burst.  The default loop
         ("reference") and the profiler-lapping loop ("profiled") run
         the same stage sequence, so both must sustain it."""
         machine = MachineConfig(num_threads=1, fp_mult_div_sqrt=1)

@@ -118,6 +118,12 @@ needs_git = pytest.mark.skipif(
 
 
 @needs_git
+def _git(*cmds):
+    env = {"GIT_CONFIG_GLOBAL": os.devnull, "GIT_CONFIG_SYSTEM": os.devnull}
+    for cmd in cmds:
+        subprocess.run(["git", *cmd], check=True, env={**os.environ, **env})
+
+
 class TestChangedScope:
     @pytest.fixture
     def repo(self, tmp_path, monkeypatch):
@@ -126,15 +132,13 @@ class TestChangedScope:
         (tmp_path / "src" / "unrelated.py").write_text(
             "import time\n\n\ndef now():\n    return time.perf_counter()\n"
         )
-        env = {"GIT_CONFIG_GLOBAL": os.devnull, "GIT_CONFIG_SYSTEM": os.devnull}
-        for cmd in (
-            ["git", "init", "-q"],
-            ["git", "config", "user.email", "lint@test"],
-            ["git", "config", "user.name", "lint"],
-            ["git", "add", "-A"],
-            ["git", "commit", "-qm", "seed"],
-        ):
-            subprocess.run(cmd, check=True, env={**os.environ, **env})
+        _git(
+            ["init", "-q"],
+            ["config", "user.email", "lint@test"],
+            ["config", "user.name", "lint"],
+            ["add", "-A"],
+            ["commit", "-qm", "seed"],
+        )
         return tmp_path
 
     def test_clean_tree_lints_nothing(self, repo, capsys):
@@ -154,6 +158,23 @@ class TestChangedScope:
         paths = {os.path.basename(d["path"]) for d in payload["diagnostics"]}
         # The fork-safety finding needs caller.py's pool submission in
         # scope, so the dependent was linted; unrelated.py was not.
+        assert rules == {"fork-safety"}
+        assert paths == {"callee.py"}
+
+    def test_changed_pulls_in_forward_imports(self, repo, capsys):
+        write_tree(repo / "src", callee=CALLEE_UNSAFE)
+        _git(["commit", "-qam", "unsafe callee"])
+        assert lint_main([]) == 1  # warm the cache
+        capsys.readouterr()
+
+        with open(repo / "src" / "caller.py", "a") as fh:
+            fh.write("# touched\n")
+        assert lint_main(["--changed", "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        rules = {d["rule"] for d in payload["diagnostics"]}
+        paths = {os.path.basename(d["path"]) for d in payload["diagnostics"]}
+        # Only caller.py changed, but the finding lives in the callee it
+        # submits to a pool: the imported module must be in scope.
         assert rules == {"fork-safety"}
         assert paths == {"callee.py"}
 

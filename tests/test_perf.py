@@ -1,5 +1,5 @@
 """Performance observability: span tracer, Chrome trace export,
-benchmark history, and the regression comparator."""
+benchmark history, and the band check over it."""
 
 import json
 import math
@@ -30,19 +30,18 @@ from repro.perf.chrome_trace import (
     validate_trace,
     write_chrome_trace,
 )
-from repro.perf.compare import (
+from repro.perf.history import (
+    BAND_RULES,
+    KIND_PERF_SUITE,
+    KIND_RELIABILITY,
     STATUS_IMPROVEMENT,
     STATUS_INVALID,
     STATUS_NEW,
     STATUS_OK,
     STATUS_REGRESSION,
-    baseline_seconds,
-    compare_results,
-)
-from repro.perf.history import (
-    KIND_PERF_SUITE,
-    KIND_TELEMETRY_OVERHEAD,
     append_entry,
+    baseline,
+    compare,
     empty_history,
     entries_of_kind,
     load_history,
@@ -404,10 +403,10 @@ class TestHistory:
     def test_entries_of_kind_filters(self, tmp_path):
         path = str(tmp_path / "BENCH_perf.json")
         append_entry(path, {"a": 0.1}, kind=KIND_PERF_SUITE)
-        append_entry(path, {"b": 0.2}, kind=KIND_TELEMETRY_OVERHEAD)
+        append_entry(path, {"b": 0.2}, kind=KIND_RELIABILITY)
         doc = load_history(path)
         assert len(entries_of_kind(doc, KIND_PERF_SUITE)) == 1
-        assert len(entries_of_kind(doc, KIND_TELEMETRY_OVERHEAD)) == 1
+        assert len(entries_of_kind(doc, KIND_RELIABILITY)) == 1
 
     def test_make_entry_accepts_bare_seconds(self):
         entry = make_entry({"x": 0.5})
@@ -417,39 +416,39 @@ class TestHistory:
 # ----------------------------------------------------------------------
 # Comparator
 # ----------------------------------------------------------------------
-def _history_with(values, name="case"):
-    """A history whose suite entries carry ``values`` for one case."""
+def _history_with(values, name="case", kind=KIND_PERF_SUITE):
+    """A history whose ``kind`` entries carry ``values`` for one case."""
     doc = empty_history()
+    field = BAND_RULES[kind].field
     for v in values:
-        doc["entries"].append(
-            {"kind": KIND_PERF_SUITE, "results": {name: {"best_s": v}}}
-        )
+        doc["entries"].append({"kind": kind, "results": {name: {field: v}}})
     return doc
 
 
 class TestComparator:
+    """The band check; rules shared by both kinds run over each kind."""
+
     def test_empty_history_is_new_and_passes(self):
-        report = compare_results(empty_history(), {"case": 0.1})
-        (c,) = report.cases
-        assert c.status == STATUS_NEW and c.baseline_s is None
-        assert report.ok
+        for kind in BAND_RULES:
+            report = compare(empty_history(), {"case": 0.1}, kind=kind)
+            (c,) = report.cases
+            assert c.status == STATUS_NEW and c.baseline is None, kind
+            assert report.ok
 
     def test_single_entry_baseline(self):
-        report = compare_results(_history_with([0.1]), {"case": 0.105})
+        report = compare(_history_with([0.1]), {"case": 0.105})
         (c,) = report.cases
-        assert c.status == STATUS_OK and c.baseline_s == pytest.approx(0.1)
+        assert c.status == STATUS_OK and c.baseline == pytest.approx(0.1)
 
     def test_injected_slowdown_fails(self):
-        report = compare_results(
-            _history_with([0.1, 0.11]), {"case": 0.2}, tolerance=0.25
-        )
+        report = compare(_history_with([0.1, 0.11]), {"case": 0.2}, tolerance=0.25)
         (c,) = report.cases
         assert c.status == STATUS_REGRESSION
         assert not report.ok
         assert "FAIL" in report.format()
 
     def test_improvement_direction(self):
-        report = compare_results(_history_with([0.1]), {"case": 0.05}, tolerance=0.25)
+        report = compare(_history_with([0.1]), {"case": 0.05}, tolerance=0.25)
         assert report.cases[0].status == STATUS_IMPROVEMENT
         assert report.ok  # improvements never fail the gate
 
@@ -457,44 +456,57 @@ class TestComparator:
         # The fast old entry falls outside the window, so the recent
         # slower values set the bar.
         history = _history_with([0.01] + [0.1] * 5)
-        assert baseline_seconds(history, "case", window=5) == pytest.approx(0.1)
-        report = compare_results(history, {"case": 0.11}, window=5)
+        assert baseline(history, "case", window=5) == pytest.approx(0.1)
+        report = compare(history, {"case": 0.11}, window=5)
         assert report.cases[0].status == STATUS_OK
 
     def test_nan_and_zero_baselines_skipped(self):
         history = _history_with([math.nan, 0.0, -1.0])
-        assert baseline_seconds(history, "case") is None
-        report = compare_results(history, {"case": 0.1})
+        assert baseline(history, "case") is None
+        report = compare(history, {"case": 0.1})
         assert report.cases[0].status == STATUS_NEW
 
     def test_nan_current_is_invalid_and_fails(self):
-        report = compare_results(_history_with([0.1]), {"case": math.nan})
-        (c,) = report.cases
-        assert c.status == STATUS_INVALID
-        assert not report.ok
+        for kind in BAND_RULES:
+            history = _history_with([0.1], kind=kind)
+            report = compare(history, {"case": math.nan}, kind=kind)
+            (c,) = report.cases
+            assert c.status == STATUS_INVALID, kind
+            assert not report.ok
 
     def test_missing_case_in_history_is_new(self):
-        report = compare_results(_history_with([0.1], name="other"), {"case": 0.1})
+        report = compare(_history_with([0.1], name="other"), {"case": 0.1})
         assert report.cases[0].status == STATUS_NEW
 
     def test_overhead_entries_do_not_pollute_suite_baseline(self):
+        # Each kind reads only its own entries, even interleaved in one
+        # document and carrying both kinds' fields.
         doc = empty_history()
-        doc["entries"].append(
-            {"kind": KIND_TELEMETRY_OVERHEAD, "results": {"case": {"best_s": 0.001}}}
-        )
-        assert baseline_seconds(doc, "case") is None
+        for kind, v in (
+            (KIND_PERF_SUITE, 0.2), (KIND_RELIABILITY, 0.001),
+            (KIND_PERF_SUITE, 0.1), (KIND_RELIABILITY, 0.003),
+            (KIND_PERF_SUITE, 0.3), (KIND_RELIABILITY, 0.002),
+        ):
+            doc["entries"].append(
+                {"kind": kind, "results": {"case": {"best_s": v, "value": v}}}
+            )
+        assert baseline(doc, "case") == pytest.approx(0.1)
+        assert baseline(doc, "case", kind=KIND_RELIABILITY) == pytest.approx(0.002)
+        report = compare(doc, {"case": 0.1})
+        assert report.cases[0].status == STATUS_OK
 
     def test_accepts_bench_result_objects(self):
-        report = compare_results(
-            _history_with([0.1]), {"case": BenchResult("case", 0.1, 3)}
-        )
+        report = compare(_history_with([0.1]), {"case": BenchResult("case", 0.1, 3)})
         assert report.cases[0].status == STATUS_OK
 
     def test_bad_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            compare_results(empty_history(), {}, tolerance=-0.1)
-        with pytest.raises(ValueError):
-            baseline_seconds(empty_history(), "case", window=0)
+        for kind in BAND_RULES:
+            with pytest.raises(ValueError):
+                compare(empty_history(), {}, tolerance=-0.1, kind=kind)
+            with pytest.raises(ValueError):
+                baseline(empty_history(), "case", window=0, kind=kind)
+        with pytest.raises(ValueError, match="no band rule"):
+            compare(empty_history(), {"case": 0.1}, kind="telemetry-overhead")
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@ report, the drift gate, and the online-vs-oracle convergence property."""
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,19 +12,21 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.config import MachineConfig
 from repro.isa.instruction import DynInst, DynState, OpClass, StaticInst
-from repro.perf.history import entries_of_kind, load_history
-from repro.reliability.avf import AVFAccount, Structure
-from repro.reliability.gate import (
-    KIND_RELIABILITY,
+from repro.perf.history import (
+    KIND_PERF_SUITE,
     STATUS_DRIFT,
     STATUS_INVALID,
     STATUS_NEW,
     STATUS_OK,
-    baseline_value,
-    compare_reliability,
-    headline_numbers,
-    record_reliability,
+    append_entry,
+    baseline,
+    compare,
+    empty_history,
+    entries_of_kind,
+    load_history,
 )
+from repro.reliability.avf import AVFAccount, Structure
+from repro.reliability.gate import KIND_RELIABILITY, headline_numbers
 from repro.reliability.observe import SLOT_BIN, ReliabilityObserver
 from repro.telemetry.bus import EventBus
 from tests.golden_grid import pinned_stats
@@ -289,27 +292,29 @@ class TestDriftGate:
     def _history(self, tmp_path, values_list):
         path = str(tmp_path / "BENCH_reliability.json")
         for values in values_list:
-            record_reliability(path, values, context={"test": True})
+            append_entry(path, values, kind=KIND_RELIABILITY, context={"test": True})
         return load_history(path)
 
     def test_empty_history_all_new_and_passes(self):
-        report = compare_reliability({}, {"baseline_iq_avf": 0.2})
+        report = compare(empty_history(), {"baseline_iq_avf": 0.2},
+                         kind=KIND_RELIABILITY)
         assert report.ok
         assert report.cases[0].status == STATUS_NEW
-        assert report.cases[0].drift is None
+        assert report.cases[0].baseline is None
 
     def test_within_band_passes(self, tmp_path):
         hist = self._history(tmp_path, [{"baseline_iq_avf": 0.20}] * 3)
-        report = compare_reliability(
-            hist, {"baseline_iq_avf": 0.207}, tolerance=0.05
+        report = compare(
+            hist, {"baseline_iq_avf": 0.207}, tolerance=0.05, kind=KIND_RELIABILITY
         )
         assert report.ok and report.cases[0].status == STATUS_OK
 
     def test_drift_is_two_sided(self, tmp_path):
         hist = self._history(tmp_path, [{"avf_reduction": 0.40}] * 3)
         for current in (0.30, 0.50):  # both directions are suspicious
-            report = compare_reliability(
-                hist, {"avf_reduction": current}, tolerance=0.05
+            report = compare(
+                hist, {"avf_reduction": current}, tolerance=0.05,
+                kind=KIND_RELIABILITY,
             )
             assert not report.ok
             assert report.cases[0].status == STATUS_DRIFT
@@ -319,22 +324,22 @@ class TestDriftGate:
         values = [0.10, 0.20, 0.30, 0.40, 0.50, 0.60]
         hist = self._history(tmp_path, [{"x": v} for v in values])
         # window 5 -> entries 0.20..0.60 -> median 0.40.
-        assert baseline_value(hist, "x", window=5) == pytest.approx(0.40)
-        assert baseline_value(hist, "x", window=2) == pytest.approx(0.55)
-        assert baseline_value(hist, "missing") is None
+        assert baseline(hist, "x", window=5, kind=KIND_RELIABILITY) == pytest.approx(0.40)
+        assert baseline(hist, "x", window=2, kind=KIND_RELIABILITY) == pytest.approx(0.55)
+        assert baseline(hist, "missing", kind=KIND_RELIABILITY) is None
         with pytest.raises(ValueError):
-            baseline_value(hist, "x", window=0)
+            baseline(hist, "x", window=0, kind=KIND_RELIABILITY)
 
     def test_nan_current_is_invalid(self, tmp_path):
         hist = self._history(tmp_path, [{"x": 0.2}])
-        report = compare_reliability(hist, {"x": float("nan")})
+        report = compare(hist, {"x": float("nan")}, kind=KIND_RELIABILITY)
         assert not report.ok
         assert report.cases[0].status == STATUS_INVALID
 
     def test_record_wraps_values(self, tmp_path):
         path = str(tmp_path / "hist.json")
-        entry = record_reliability(path, {"baseline_iq_avf": 0.25},
-                                   context={"mix": "MEM-A"})
+        entry = append_entry(path, {"baseline_iq_avf": 0.25},
+                             kind=KIND_RELIABILITY, context={"mix": "MEM-A"})
         assert entry["kind"] == KIND_RELIABILITY
         assert entry["results"]["baseline_iq_avf"] == {"value": 0.25}
         loaded = entries_of_kind(load_history(path), KIND_RELIABILITY)
@@ -342,7 +347,8 @@ class TestDriftGate:
 
     def test_bad_tolerance_rejected(self):
         with pytest.raises(ValueError):
-            compare_reliability({}, {"x": 1.0}, tolerance=-0.1)
+            compare(empty_history(), {"x": 1.0}, tolerance=-0.1,
+                    kind=KIND_RELIABILITY)
 
     def test_headline_numbers_smoke(self):
         from repro.harness.runner import BenchScale
@@ -367,8 +373,8 @@ class TestDriftGate:
 class TestAvfCli:
     def test_compare_against_saved_results(self, tmp_path, capsys):
         hist = tmp_path / "BENCH_reliability.json"
-        record_reliability(str(hist), {"baseline_iq_avf": 0.2},
-                           context={})
+        append_entry(str(hist), {"baseline_iq_avf": 0.2},
+                     kind=KIND_RELIABILITY)
         saved = tmp_path / "current.json"
         saved.write_text(json.dumps(
             {"results": {"baseline_iq_avf": {"value": 0.201}}}
@@ -380,13 +386,30 @@ class TestAvfCli:
 
     def test_compare_detects_drift(self, tmp_path, capsys):
         hist = tmp_path / "BENCH_reliability.json"
-        record_reliability(str(hist), {"baseline_iq_avf": 0.2}, context={})
+        append_entry(str(hist), {"baseline_iq_avf": 0.2}, kind=KIND_RELIABILITY)
         saved = tmp_path / "current.json"
         saved.write_text(json.dumps({"results": {"baseline_iq_avf": 0.4}}))
         rc = main(["avf", "compare", "--history", str(hist),
                    "--results", str(saved)])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_committed_histories_pass_their_own_newest_numbers(self, tmp_path):
+        """Both committed histories load as they are, and each gate, at
+        its CI band, passes on the newest entry's own numbers."""
+        root = Path(__file__).resolve().parent.parent
+        for command, path, kind, tolerance in (
+            ("avf", root / "BENCH_reliability.json", KIND_RELIABILITY, "0.05"),
+            ("perf", root / "BENCH_perf.json", KIND_PERF_SUITE, "1.0"),
+        ):
+            before = path.read_bytes()
+            newest = entries_of_kind(load_history(str(path)), kind)[-1]
+            saved = tmp_path / f"{command}-newest.json"
+            saved.write_text(json.dumps({"results": newest["results"]}))
+            rc = main([command, "compare", "--history", str(path),
+                       "--results", str(saved), "--tolerance", tolerance])
+            assert rc == 0, command
+            assert path.read_bytes() == before
 
     def test_compare_malformed_history_is_usage_error(self, tmp_path):
         hist = tmp_path / "broken.json"

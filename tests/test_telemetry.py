@@ -39,7 +39,7 @@ from repro.workloads import get_mix
 
 
 def make_pipe(cycles=1_200, mix="MEM-A", *, dvm_target=None, dispatch=None,
-              seed=3, telemetry=True):
+              seed=3):
     rel = ReliabilityConfig(interval_cycles=400, ace_window=800)
     sim = SimulationConfig(
         max_cycles=cycles, warmup_cycles=0, seed=seed,
@@ -48,7 +48,7 @@ def make_pipe(cycles=1_200, mix="MEM-A", *, dvm_target=None, dispatch=None,
     dvm = DVMController(dvm_target, config=rel) if dvm_target is not None else None
     return SMTPipeline(
         get_mix(mix).programs(seed=seed), sim=sim, dvm=dvm,
-        dispatch_policy=dispatch, telemetry=telemetry,
+        dispatch_policy=dispatch,
     )
 
 
@@ -354,10 +354,6 @@ class TestProvenance:
         assert res.metrics["pipeline.commit.total"] == res.committed
         assert res.metrics["pipeline.cycles"] == res.cycles
 
-    def test_telemetry_off_means_no_manifest(self):
-        res = make_pipe(cycles=600, telemetry=False).run()
-        assert res.manifest is None
-
 
 # ----------------------------------------------------------------------
 # Profiler
@@ -409,60 +405,6 @@ class TestProfiler:
         wall = profiler.report().wall_s
         # A closed run stays closed across repeated reports.
         assert profiler.report().wall_s == wall
-
-
-# ----------------------------------------------------------------------
-# Overhead measurement → BENCH_perf.json persistence (satellite)
-# ----------------------------------------------------------------------
-class TestOverheadHistory:
-    def _fake_report(self):
-        from repro.telemetry.overhead import OverheadReport
-
-        return OverheadReport(
-            mix="MIX-A", cycles=100, repeats=1, bare_s=0.010, stamped_s=0.0102
-        )
-
-    def test_main_appends_history_entry(self, tmp_path, monkeypatch):
-        from repro.telemetry import overhead
-
-        monkeypatch.setattr(
-            overhead, "measure_overhead", lambda *a, **kw: self._fake_report()
-        )
-        hist = tmp_path / "BENCH_perf.json"
-        rc = overhead.main(["--history", str(hist)])
-        assert rc == 0
-        doc = json.loads(hist.read_text())
-        (entry,) = doc["entries"]
-        assert entry["kind"] == "telemetry-overhead"
-        assert set(entry["results"]) == {
-            "telemetry_bare_loop",
-            "telemetry_stamped_loop",
-        }
-        assert entry["results"]["telemetry_bare_loop"]["best_s"] == pytest.approx(0.010)
-        assert entry["context"]["overhead"] == pytest.approx(0.02)
-        assert "manifest" in entry
-
-    def test_no_history_flag_skips_write(self, tmp_path, monkeypatch):
-        from repro.telemetry import overhead
-
-        monkeypatch.setattr(
-            overhead, "measure_overhead", lambda *a, **kw: self._fake_report()
-        )
-        hist = tmp_path / "BENCH_perf.json"
-        rc = overhead.main(["--history", str(hist), "--no-history"])
-        assert rc == 0
-        assert not hist.exists()
-
-    def test_failure_exit_still_persists(self, tmp_path, monkeypatch):
-        from repro.telemetry import overhead
-
-        monkeypatch.setattr(
-            overhead, "measure_overhead", lambda *a, **kw: self._fake_report()
-        )
-        hist = tmp_path / "BENCH_perf.json"
-        rc = overhead.main(["--history", str(hist), "--max-overhead", "0.001"])
-        assert rc == 1
-        assert json.loads(hist.read_text())["entries"]
 
 
 # ----------------------------------------------------------------------
