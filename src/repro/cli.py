@@ -408,9 +408,13 @@ def cmd_profile(args) -> int:
         print(f"unknown benchmark {args.benchmark!r}", file=sys.stderr)
         return 2
     program = generate_program(args.benchmark, seed=args.seed)
-    prof = profile_program(
-        program, n_instructions=args.instructions, window=args.window
-    )
+    try:
+        prof = profile_program(
+            program, n_instructions=args.instructions, window=args.window
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     ref = PERSONALITIES[args.benchmark].ref_pc_accuracy
     print(f"benchmark {args.benchmark}")
     print(f"  static instructions   {program.num_static_insts}")
@@ -418,6 +422,7 @@ def cmd_profile(args) -> int:
     print(f"  PC-classification acc {prof.accuracy:.1%}  (paper: {ref:.1%})")
     print(f"  ACE instance fraction {prof.ace_fraction:.1%}")
     print(f"  static PCs tagged ACE {prof.static_ace_fraction:.1%}")
+    print(f"  late-ACE instances    {prof.late_ace}  (resolved un-ACE before an ACE read)")
     return 0
 
 

@@ -1,12 +1,13 @@
 """Deterministic hot-path benchmark suite (min-of-N wall clock).
 
 The cases cover the paths every perf-sensitive PR touches: the
-pipeline cycle loop, issue/select scheduling, the DVM controller's
-interval-rate decision path, the interval resource allocator, a
-warm-cache lint run, backend-contract extraction, and the parallel
-harness engine.  Each case's ``make`` factory builds *all* state
-up front and returns a closure whose body is only the hot path, so the
-timed region measures the code under test and nothing else.  Inputs
+pipeline cycle loop, the offline ACE profiling pass, issue/select
+scheduling, the DVM controller's interval-rate decision path, the
+interval resource allocator, a warm-cache lint run, backend-contract
+extraction, and the parallel harness engine.  Each case's ``make``
+factory builds *all* state up front and returns a closure whose body
+is only the hot path, so the timed region measures the code under test
+and nothing else.  Inputs
 are fixed by :data:`PERF_SCALE` (or an explicit scale) and seeded
 generators, so two runs of a case execute the identical work — the
 wall-clock is the only nondeterminism, and min-of-N strips most of it.
@@ -34,6 +35,7 @@ from repro.harness.runner import BenchScale, get_programs
 from repro.isa.generator import generate_program
 from repro.isa.instruction import DynInst
 from repro.reliability.dvm import DVMController
+from repro.reliability.profiling import profile_program
 from repro.reliability.resource_alloc import (
     IntervalSnapshot,
     L2MissSensitiveAllocation,
@@ -96,6 +98,26 @@ def _make_cycle_loop(mix_name: str) -> Callable[[BenchScale], Callable[[], None]
 _make_pipeline_cycle_loop = _make_cycle_loop(_BENCH_MIX)
 #: Memory-bound mix: long L2-miss shadows, idle cycles dominate.
 _make_mem_cycle_loop = _make_cycle_loop("MEM-A")
+
+
+def _make_ace_profile(scale: BenchScale) -> Callable[[], None]:
+    """The offline ACE profiling pass over MEM-A's four programs.
+
+    The programs are generated here, not taken from the
+    :func:`get_programs` memo, and ``profile_program`` only reads them,
+    so the timed region leaves every memoized program untouched.
+    """
+    programs = get_mix("MEM-A").programs(seed=scale.seed)
+
+    def run() -> None:
+        for program in programs:
+            profile_program(
+                program,
+                n_instructions=scale.profile_instructions,
+                window=scale.profile_window,
+            )
+
+    return run
 
 
 def _make_issue_select(scale: BenchScale) -> Callable[[], None]:
@@ -300,6 +322,11 @@ BENCH_CASES: tuple[BenchCase, ...] = (
         "mem_cycle_loop",
         "MEM-A simulation (default pipeline), full cycle loop",
         _make_mem_cycle_loop,
+    ),
+    BenchCase(
+        "ace_profile",
+        "offline ACE profiling pass over MEM-A's four programs",
+        _make_ace_profile,
     ),
     BenchCase(
         "issue_select",

@@ -15,11 +15,17 @@ mispredicted paths are excluded from classification, as in the paper).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
-from repro.isa.instruction import DynInst, DynState, OpClass
+from repro.isa.instruction import OpClass
 from repro.isa.program import SyntheticProgram, ThreadContext
-from repro.reliability.ace import ACEAnalyzer
+from repro.reliability.ace import _NEVER_ACE, _ROOTS
+
+_CONTROL_OPS = frozenset({OpClass.BRANCH, OpClass.JUMP, OpClass.CALL, OpClass.RET})
+
+#: Decode kinds: never ACE, ACE root, or waits for an ACE reader.
+_NEVER, _ROOT, _WAIT = 0, 1, 2
 
 
 @dataclass
@@ -31,6 +37,10 @@ class ProfileResult:
     pc_table: dict[int, bool] = field(default_factory=dict)
     ace_instances: dict[int, int] = field(default_factory=dict)
     unace_instances: dict[int, int] = field(default_factory=dict)
+    #: Instances resolved un-ACE before an ACE reader reached them; they
+    #: stay un-ACE, as in the analyzer (a longer window would catch the
+    #: waiting ones).
+    late_ace: int = 0
 
     @property
     def accuracy(self) -> float:
@@ -65,6 +75,63 @@ class ProfileResult:
         return self.pc_table.get(pc, True)
 
 
+#: One decoded static instruction: ``(sid, kind, linked srcs, dest)``.
+_Decoded = tuple[int, int, tuple[int, ...], int]
+
+
+def _decode(program: SyntheticProgram) -> tuple[list[int], list[list[_Decoded]]]:
+    """The program's static instructions as ``(sid, kind, linked srcs,
+    dest)``, each block's list in *reverse* program order, plus the PC
+    of every ``sid``.  NEVER instructions link no producers, so their
+    linked sources are empty."""
+    pcs: list[int] = []
+    rev_blocks: list[list[_Decoded]] = []
+    for block in program.blocks:
+        decoded: list[_Decoded] = []
+        for st in block.insts:
+            op = st.opclass
+            srcs = st.srcs
+            if op in _NEVER_ACE:
+                kind, srcs = _NEVER, ()
+            elif op in _ROOTS or st.is_output:
+                kind = _ROOT
+            else:
+                kind = _WAIT
+            decoded.append((len(pcs), kind, srcs, st.dest))
+            pcs.append(st.pc)
+        decoded.reverse()
+        rev_blocks.append(decoded)
+    return pcs, rev_blocks
+
+
+def _walk_blocks(
+    program: SyntheticProgram, n_instructions: int, seed: int
+) -> tuple[array[int], int]:
+    """Forward pass: the blocks the correct path visits in its first
+    ``n_instructions`` instructions, and how many instructions of the
+    last visit fall inside the budget.  Every visit enters its block at
+    the top; only terminators go through the context's control calls."""
+    ctx = ThreadContext(program, seed=seed)
+    blocks = program.blocks
+    path: array[int] = array("l")
+    left = n_instructions
+    while True:
+        block = blocks[ctx.block]
+        size = len(block.insts)
+        path.append(ctx.block)
+        if size >= left:
+            return path, left
+        left -= size
+        term = block.insts[-1]
+        if term.opclass in _CONTROL_OPS:
+            ctx.stream_pos += size - 1  # the terminator's stream position
+            taken, target = ctx.resolve_control(term)
+            ctx.advance_control(term, taken, target)
+        else:
+            ctx.stream_pos += size
+            ctx.block = block.fall_block
+
+
 def profile_program(
     program: SyntheticProgram,
     n_instructions: int = 100_000,
@@ -73,36 +140,77 @@ def profile_program(
 ) -> ProfileResult:
     """Run the offline vulnerability profiling pass.
 
-    Walks the architecturally correct path for ``n_instructions``,
-    feeding the committed stream through the post-retirement ACE
-    analyzer, and aggregates per-PC instance counts.
+    Classifies the first ``n_instructions`` committed instructions of
+    the architecturally correct path exactly as the post-retirement
+    :class:`~repro.reliability.ace.ACEAnalyzer` with a ``window``-deep
+    window would, and aggregates per-PC instance counts.
+
+    Two passes, no per-instruction objects: the forward pass records
+    the visited blocks; the backward pass walks them in reverse and
+    gives each instance its *mark time* — the commit index at which the
+    analyzer would first mark it ACE.  A root's mark time is its own
+    index; any other instance takes the earliest mark time of the
+    readers that link it (per register, the readers between it and the
+    next write).  A waiting instance leaves the window, and resolves, at
+    index ``i + window``, after that commit's marking, so it is ACE iff
+    ``mark_time <= i + window``; one marked later is counted in
+    ``late_ace`` and stays un-ACE.
     """
     if n_instructions <= 0:
         raise ValueError("n_instructions must be positive")
-    result = ProfileResult(program_name=program.name, instructions=n_instructions)
+    if window <= 0:
+        raise ValueError("window must be positive")
+    pcs, rev_blocks = _decode(program)
+    path, tail = _walk_blocks(program, n_instructions, seed)
 
-    def on_resolve(dyn: DynInst) -> None:
-        pc = dyn.pc
-        if dyn.ace:
-            result.ace_instances[pc] = result.ace_instances.get(pc, 0) + 1
-            result.pc_table[pc] = True
-        else:
-            result.unace_instances[pc] = result.unace_instances.get(pc, 0) + 1
-            result.pc_table.setdefault(pc, False)
+    unmarked = n_instructions + window  # beyond every i + window
+    n_regs = 1 + max(
+        (max((dest, *srcs)) for blk in rev_blocks for _, _, srcs, dest in blk),
+        default=-1,
+    )
+    # Earliest mark time among the pending readers of each register.
+    need = [unmarked] * n_regs
+    ace_n = [0] * len(pcs)
+    unace_n = [0] * len(pcs)
+    late = 0
+    i = n_instructions
+    last = len(path) - 1
+    for k in range(last, -1, -1):
+        decoded = rev_blocks[path[k]]
+        if k == last:
+            decoded = decoded[len(decoded) - tail :]
+        for sid, kind, srcs, dest in decoded:
+            i -= 1
+            if dest >= 0:
+                mark = need[dest]
+                need[dest] = unmarked  # earlier writers are not read past here
+            else:
+                mark = unmarked
+            if kind == _ROOT:
+                mark = i
+                ace_n[sid] += 1
+            elif kind == _WAIT and mark <= i + window:
+                ace_n[sid] += 1
+            else:
+                unace_n[sid] += 1
+                if mark != unmarked:
+                    late += 1
+            for reg in srcs:
+                if mark < need[reg]:
+                    need[reg] = mark
 
-    analyzer = ACEAnalyzer(num_threads=1, window_size=window, resolve_cb=on_resolve)
-    ctx = ThreadContext(program, seed=seed)
-    for i in range(n_instructions):
-        st = ctx.peek()
-        dyn = DynInst(tag=i, thread=0, static=st, stream_pos=ctx.stream_pos)
-        dyn.state = DynState.COMMITTED
-        if st.opclass.is_control:
-            taken, target = ctx.resolve_control(st)
-            ctx.advance_control(st, taken, target)
-        else:
-            ctx.advance()
-        analyzer.commit(dyn, cycle=i)
-    analyzer.flush(final_cycle=n_instructions)
+    result = ProfileResult(
+        program_name=program.name, instructions=n_instructions, late_ace=late
+    )
+    for sid, pc in enumerate(pcs):
+        a = ace_n[sid]
+        u = unace_n[sid]
+        if a:
+            result.ace_instances[pc] = a
+        if u:
+            result.unace_instances[pc] = u
+        if a or u:
+            result.pc_table[pc] = a > 0
     return result
 
 

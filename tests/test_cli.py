@@ -44,9 +44,14 @@ class TestCommands:
         assert main(["profile", "gcc", "--instructions", "3000", "--window", "800"]) == 0
         out = capsys.readouterr().out
         assert "PC-classification acc" in out
+        assert "late-ACE instances" in out
 
     def test_profile_unknown_benchmark(self, capsys):
         assert main(["profile", "doom"]) == 2
+
+    def test_profile_bad_window(self, capsys):
+        assert main(["profile", "gcc", "--instructions", "300", "--window", "0"]) == 2
+        assert "window must be positive" in capsys.readouterr().err
 
     def test_run_small(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_CYCLES", "2500")

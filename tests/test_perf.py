@@ -518,6 +518,7 @@ class TestBenchSuite:
         assert set(BENCH_NAMES) == {
             "pipeline_cycle_loop",
             "mem_cycle_loop",
+            "ace_profile",
             "issue_select",
             "dvm_interval",
             "resource_alloc",
