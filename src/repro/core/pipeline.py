@@ -20,8 +20,9 @@ VISA scheduler (Section 2.1), dynamic IQ resource allocation
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from collections import OrderedDict, deque
+from dataclasses import astuple, dataclass, field, fields
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -34,9 +35,15 @@ from repro.core.lsq import LoadStoreQueue
 from repro.core.rename import RenameTable
 from repro.core.rob import ReorderBuffer
 from repro.core.scheduler import IssueScheduler, make_scheduler
-from repro.frontend.branch_predictor import BranchPredictor
+from repro.frontend.branch_predictor import BranchPredictor, PredictorState
 from repro.frontend.fetch_policy import FetchPolicy, FlushPolicy, make_fetch_policy
-from repro.isa.instruction import DynInst, DynState, OpClass
+from repro.isa.instruction import (
+    BranchBehavior,
+    DynInst,
+    DynState,
+    MemBehavior,
+    OpClass,
+)
 from repro.isa.program import SyntheticProgram, ThreadContext
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.reliability.ace import ACEAnalyzer
@@ -66,6 +73,87 @@ _FETCH_THREADS_PER_CYCLE = 2
 #: Opclass sets the functional warm-up tests by membership.
 _MEM_OPS = frozenset(op for op in OpClass if op.is_mem)
 _CONTROL_OPS = frozenset(op for op in OpClass if op.is_control)
+
+#: Every ``self.*`` path ``_functional_warmup`` reads, mapped to the part
+#: of :meth:`SMTPipeline.warm_key` that fixes it.  The memory hierarchy
+#: and the predictor start empty, so their configs fix them.  A test
+#: checks the effect analysis's read set of the walk against this
+#: table: a new read fails it until the key has been reviewed.
+WARM_KEY_READS: dict[str, str] = {
+    "sim.bp_warmup_instructions": "bp_warmup_instructions",
+    "contexts": "each thread's program content, seed and start point",
+    "_iline_shift": "the l1i config",
+    "mem": "the l1i/l1d/l2/itlb/dtlb configs",
+    "bp": "the branch_predictor config and num_threads",
+}
+
+_MEM_FIELDS = attrgetter(*(f.name for f in fields(MemBehavior)))
+_BRANCH_FIELDS = attrgetter(*(f.name for f in fields(BranchBehavior)))
+
+
+def _walk_content(program: SyntheticProgram) -> tuple[object, ...]:
+    """What the warm-up walk reads of a program image: its entry block
+    and, per block, the fall-through and each instruction's pc, opclass,
+    successors and memory/branch behaviour (not the profiled ACE hint)."""
+    return (
+        program.entry,
+        tuple(
+            (
+                block.fall_block,
+                tuple(
+                    (
+                        st.pc,
+                        st.opclass,
+                        st.taken_block,
+                        st.fall_block,
+                        None if st.mem is None else _MEM_FIELDS(st.mem),
+                        None if st.branch is None else _BRANCH_FIELDS(st.branch),
+                    )
+                    for st in block.insts
+                ),
+            )
+            for block in program.blocks
+        ),
+    )
+
+
+WarmKey = tuple[object, ...]
+
+
+@dataclass(frozen=True)
+class WarmState:
+    """The state the functional warm-up leaves, as immutable copies.
+
+    ``contexts`` holds one ``ThreadContext.checkpoint()`` per thread,
+    ``tags`` the L1I/L1D/L2/ITLB/DTLB tag arrays and ``predictor`` the
+    PHT, histories, BTB and RASes.  Statistics are not kept: the
+    warm-up's are discarded either way.
+    """
+
+    contexts: tuple[tuple[int, int, int, tuple[int, ...]], ...]
+    tags: tuple[tuple[tuple[int, ...], ...], ...]
+    predictor: PredictorState
+
+
+class WarmMemo:
+    """Post-warm-up states by :meth:`SMTPipeline.warm_key`, at most
+    ``limit`` of them; the least recently used is evicted first."""
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        self.states: OrderedDict[WarmKey, WarmState] = OrderedDict()
+
+    def get(self, key: WarmKey) -> WarmState | None:
+        state = self.states.get(key)
+        if state is not None:
+            self.states.move_to_end(key)
+        return state
+
+    def put(self, key: WarmKey, state: WarmState) -> None:
+        """Store the state of a key ``get`` missed."""
+        self.states[key] = state
+        if len(self.states) > self.limit:
+            self.states.popitem(last=False)
 
 
 @dataclass
@@ -245,6 +333,7 @@ class SMTPipeline:
         avf_layout: AVFBitLayout | None = None,
         bus: EventBus | None = None,
         profiler: StageProfiler | None = None,
+        warm_memo: WarmMemo | None = None,
     ):
         if not programs:
             raise ValueError("at least one program (thread) is required")
@@ -342,6 +431,10 @@ class SMTPipeline:
         # their decisions carry the pipeline's cycle/stage stamps.
         self.bus = bus if bus is not None else EventBus()
         self.profiler = profiler
+        # Where run() looks up and stores its post-warm-up state; None
+        # walks every time.
+        self.warm_memo = warm_memo
+        self.warm_restored = False
         self.metrics = MetricsRegistry()
         if self.dvm is not None:
             self.dvm.bus = self.bus
@@ -854,7 +947,7 @@ class SMTPipeline:
         terminator goes through ``resolve_control``/``advance_control``
         and the predictor.  The cache, TLB and predictor operations are
         the same, in the same order, as one ``peek``/``advance`` per
-        instruction.
+        instruction.  :meth:`_warm_up` then discards the statistics.
         """
         n_insts = self.sim.bp_warmup_instructions
         if n_insts <= 0:
@@ -919,7 +1012,56 @@ class SMTPipeline:
                     bp.ras_pop(t)
                 ctx.advance_control(term, taken, target)
                 left -= 1
-        bp.reset_stats()  # warm-up predictions don't count
+
+    def warm_key(self) -> WarmKey:
+        """Everything ``_functional_warmup`` reads (see
+        :data:`WARM_KEY_READS`): equal keys walk to equal states."""
+        m = self.machine
+        return (
+            tuple(
+                (_walk_content(ctx.program), ctx.seed, ctx.checkpoint())
+                for ctx in self.contexts
+            ),
+            self.sim.bp_warmup_instructions,
+            m.num_threads,
+            tuple(
+                astuple(c)
+                for c in (m.l1i, m.l1d, m.l2, m.itlb, m.dtlb, m.branch_predictor)
+            ),
+        )
+
+    def warm_snapshot(self) -> WarmState:
+        """Copy out the state the warm-up leaves."""
+        return WarmState(
+            contexts=tuple(ctx.checkpoint() for ctx in self.contexts),
+            tags=self.mem.tag_state(),
+            predictor=self.bp.state(),
+        )
+
+    def restore_warm(self, state: WarmState) -> None:
+        """Copy ``state`` in, in place of a walk; no list is shared with it."""
+        for ctx, cp in zip(self.contexts, state.contexts):
+            ctx.restore(cp)
+        self.mem.load_tag_state(state.tags)
+        self.bp.load_state(state.predictor)
+        self.warm_restored = True
+
+    def _warm_up(self) -> None:
+        """The warm-up phase of :meth:`run`: restore the memoized state
+        of an equal :meth:`warm_key`, or walk and memoize it.  Without
+        a memo it always walks."""
+        memo = self.warm_memo
+        if memo is None:
+            self._functional_warmup()
+        else:
+            key = self.warm_key()
+            state = memo.get(key)
+            if state is None:
+                self._functional_warmup()
+                memo.put(key, self.warm_snapshot())
+            else:
+                self.restore_warm(state)
+        self.bp.reset_stats()  # warm-up predictions don't count
         self.mem.reset_stats()  # warm-up accesses don't count
 
     def _stage_hooks(
@@ -973,7 +1115,7 @@ class SMTPipeline:
         ``backend-contract.json`` is extracted from: each
         ``stamp.stage = "<label>"`` is followed by the stage it labels.
         """
-        self._functional_warmup()
+        self._warm_up()
         max_insts = self.sim.max_instructions
         warmup_cycles = self.sim.warmup_cycles
         stamp, begin_cycle, end_loop = self._stage_hooks()
@@ -1047,6 +1189,7 @@ class SMTPipeline:
             core.counter(f"commit.thread{t}").inc(c)
         core.counter("squash.total").inc(self.total_squashed)
         core.counter("flush.count").inc(self.flush_count)
+        core.counter("warmup.restored").inc(int(self.warm_restored))
         m.gauge("frontend.bp.accuracy").set(self.bp.stats.direction_accuracy)
         m.gauge("mem.l1d.miss_rate").set(self.mem.l1d.stats.miss_rate)
         m.gauge("mem.l2.miss_rate").set(self.mem.l2.stats.miss_rate)

@@ -29,6 +29,16 @@ from dataclasses import dataclass
 from repro.config import BranchPredictorConfig
 
 
+#: ``BranchPredictor.state()``: the PHT, the per-thread histories, the
+#: BTB sets of ``(pc, target)`` and the per-thread RASes.
+PredictorState = tuple[
+    tuple[int, ...],
+    tuple[int, ...],
+    tuple[tuple[tuple[int, int], ...], ...],
+    tuple[tuple[int, ...], ...],
+]
+
+
 @dataclass
 class BranchPredictorStats:
     """Aggregate direction/target prediction counters."""
@@ -143,6 +153,23 @@ class BranchPredictor:
         self.stats.ras_pops += 1
         ras = self._ras[thread]
         return ras.pop() if ras else None
+
+    def state(self) -> PredictorState:
+        """Immutable copies of the PHT, histories, BTB and RASes."""
+        return (
+            tuple(self._pht),
+            tuple(self._hist),
+            tuple(map(tuple, self._btb)),
+            tuple(map(tuple, self._ras)),
+        )
+
+    def load_state(self, state: PredictorState) -> None:
+        """Replace the trained state with fresh copies of ``state``."""
+        pht, hist, btb, ras = state
+        self._pht = list(pht)
+        self._hist = list(hist)
+        self._btb = list(map(list, btb))
+        self._ras = list(map(list, ras))
 
     def reset_stats(self) -> None:
         """Zero the counters without disturbing the trained state (used

@@ -84,6 +84,14 @@ class SetAssocCache:
             self.stats.evictions += 1
         return False
 
+    def tag_state(self) -> tuple[tuple[int, ...], ...]:
+        """An immutable copy of every set's tags, most recent first."""
+        return tuple(map(tuple, self._sets))
+
+    def load_tag_state(self, state: tuple[tuple[int, ...], ...]) -> None:
+        """Replace every set's tags with a fresh copy of ``state``."""
+        self._sets = list(map(list, state))
+
     def invalidate_all(self) -> None:
         """Flush every line (used when resetting between experiments)."""
         for way in self._sets:

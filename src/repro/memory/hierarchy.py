@@ -102,8 +102,20 @@ class MemoryHierarchy:
         self.l2_data_miss_count += 1
         return self._dresults[row + 2]
 
+    def _tag_arrays(self) -> tuple[SetAssocCache, ...]:
+        return (self.l1i, self.l1d, self.l2, self.itlb._array, self.dtlb._array)
+
+    def tag_state(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Immutable copies of the L1I, L1D, L2, ITLB and DTLB tag arrays."""
+        return tuple(array.tag_state() for array in self._tag_arrays())
+
+    def load_tag_state(self, state: tuple[tuple[tuple[int, ...], ...], ...]) -> None:
+        """Replace every tag array with a fresh copy of ``state``."""
+        for array, tags in zip(self._tag_arrays(), state):
+            array.load_tag_state(tags)
+
     def reset_stats(self) -> None:
-        for c in (self.l1i, self.l1d, self.l2):
-            c.stats.reset()
+        for array in self._tag_arrays():
+            array.stats.reset()
         self.l2_miss_count = 0
         self.l2_data_miss_count = 0

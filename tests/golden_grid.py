@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.config import ReliabilityConfig, SimulationConfig
-from repro.core.pipeline import SimulationResult, SMTPipeline
+from repro.core.pipeline import SimulationResult, SMTPipeline, WarmMemo
 from repro.reliability.avf import Structure
 from repro.reliability.dvm import DVMController
 from repro.workloads import get_mix
@@ -72,8 +72,10 @@ def run_case(
     *,
     warmup: int = 300,
     hist: bool = False,
+    warm_memo: WarmMemo | None = None,
 ) -> SimulationResult:
-    """Simulate one case on fresh program objects."""
+    """Simulate one case on fresh program objects; with ``warm_memo``
+    the functional warm-up is restored from (or stored into) it."""
     sim = SimulationConfig(
         max_cycles=1_500, warmup_cycles=warmup, seed=7,
         bp_warmup_instructions=2_000,
@@ -85,6 +87,7 @@ def run_case(
     return SMTPipeline(
         get_mix(mix).programs(seed=7), sim=sim,
         fetch_policy=fetch_policy, scheduler=scheduler, dvm=dvm,
+        warm_memo=warm_memo,
     ).run()
 
 

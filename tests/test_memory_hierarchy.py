@@ -99,6 +99,28 @@ class TestHierarchyTiming:
         assert self.mem.l2_miss_count == 0
         assert self.mem.l1d.stats.accesses == 0
 
+    def test_reset_stats_clears_tlb_stats(self):
+        self.mem.access_instr(0x4000, 0)
+        self.mem.access_data(0x9000, 0)
+        assert self.mem.itlb.stats.accesses == self.mem.dtlb.stats.accesses == 1
+        self.mem.reset_stats()
+        for tlb in (self.mem.itlb, self.mem.dtlb):
+            assert (tlb.stats.accesses, tlb.stats.hits, tlb.stats.misses) == (0, 0, 0)
+        # The translations themselves stay: only the counters are reset.
+        assert self.mem.access_data(0x9000, 0).tlb_miss is False
+
+    def test_tag_state_round_trip_is_a_copy(self):
+        self.mem.access_instr(0x4000, 0)
+        self.mem.access_data(0x9000, 0)
+        state = self.mem.tag_state()
+        other = MemoryHierarchy(MachineConfig())
+        other.load_tag_state(state)
+        assert other.tag_state() == state
+        assert not other.access_data(0x9000, 0).tlb_miss
+        other.access_data(0x77000, 0)  # changes the copy only
+        assert other.tag_state() != state
+        assert self.mem.tag_state() == state
+
 
 class TestAccessOutcomes:
     """Every (TLB, cache level) outcome of both access kinds, against the
