@@ -1,48 +1,28 @@
 """Built-in simulator-aware checkers.
 
 Importing this package registers every built-in rule; the registry does
-this lazily so ``import repro.analysis`` stays cheap.  Per-file
-(AST-only) rules come first; the rest are project-wide passes built
-on :mod:`repro.analysis.flow` — the dataflow passes, the backend
-state-contract pair (``state-contract-drift``,
-``escaped-state-write``) from :mod:`repro.analysis.effects`, and the
-process-pool pair (``pickle-safety``, ``fork-safety``).
+this lazily so ``import repro.analysis`` stays cheap.  Five rules, each
+kept because it caught and fixed a real defect in this tree:
+
+* per-file: ``config-bounds`` (config ``validate()`` coverage) and
+  ``dimension-mismatch`` (cycle / bit / bit-cycle arithmetic, from
+  :mod:`repro.analysis.effects.dimensions`);
+* project-wide, over :mod:`repro.analysis.flow`: ``paper-fidelity``
+  (catalogued paper constants), ``emit-coverage`` (decision hooks reach
+  a ``bus.emit``) and ``state-contract-drift`` (the committed backend
+  contract, from :mod:`repro.analysis.effects`).
 """
 
 from repro.analysis.checkers.config_bounds import ConfigBoundsChecker
-from repro.analysis.checkers.counter_balance import CounterBalanceChecker
-from repro.analysis.checkers.determinism import DeterminismChecker
 from repro.analysis.checkers.dimension import DimensionChecker
 from repro.analysis.checkers.emit_coverage import EmitCoverageChecker
-from repro.analysis.checkers.event_schema import EventSchemaChecker
-from repro.analysis.checkers.forksafety import (
-    ForkSafetyChecker,
-    PickleSafetyChecker,
-)
-from repro.analysis.checkers.hidden_state import HiddenStateChecker
-from repro.analysis.checkers.nondet_iteration import NondetIterationChecker
 from repro.analysis.checkers.paper_fidelity import PaperFidelityChecker
-from repro.analysis.checkers.slots import SlotsCompletenessChecker
-from repro.analysis.checkers.stage_purity import StagePurityChecker
-from repro.analysis.checkers.state_contract import (
-    EscapedStateWriteChecker,
-    StateContractDriftChecker,
-)
+from repro.analysis.checkers.state_contract import StateContractDriftChecker
 
 __all__ = [
     "ConfigBoundsChecker",
-    "CounterBalanceChecker",
-    "DeterminismChecker",
     "DimensionChecker",
     "EmitCoverageChecker",
-    "EscapedStateWriteChecker",
-    "StateContractDriftChecker",
-    "EventSchemaChecker",
-    "HiddenStateChecker",
-    "NondetIterationChecker",
     "PaperFidelityChecker",
-    "SlotsCompletenessChecker",
-    "StagePurityChecker",
-    "ForkSafetyChecker",
-    "PickleSafetyChecker",
+    "StateContractDriftChecker",
 ]

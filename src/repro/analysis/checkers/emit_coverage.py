@@ -1,7 +1,7 @@
 """``emit-coverage`` — decision hooks must be observable on the bus.
 
-PR 2's per-call-site ``event-schema`` rule validates the emits that
-*exist*; this is its cross-module complement: in the three
+The event bus validates the payload of every emit that *exists* when
+it is delivered; this rule checks the emits that must exist: in the three
 decision-making modules (``dvm.py``, ``resource_alloc.py``,
 ``fetch_policy.py``), every public event hook (an ``on_*`` method) that
 mutates controller state must have *some* call path — traced through

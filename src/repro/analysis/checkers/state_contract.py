@@ -1,5 +1,4 @@
-"""``state-contract-drift`` / ``escaped-state-write`` — the backend
-contract as a lint gate.
+"""``state-contract-drift`` — the backend contract as a lint gate.
 
 The committed ``backend-contract.json`` (written by ``repro lint
 contract --write-contract``) is the reviewed statement of what each
@@ -9,13 +8,7 @@ pipeline class — a new cross-stage read, a lost write, a flipped SoA
 verdict — so state-shape changes are acknowledged by regenerating the
 contract, the same accept-the-new-baseline motion as ``--baseline``.
 
-The escape pass flags direct writes *through* a held structure
-reference (``self.iq.pred_ace_bits = ...`` from pipeline code) in the
-run-loop closure: state the structure's own methods should own.
-Writes like that break the encapsulation every SoA/backend port relies
-on, so they warrant an explicit suppression when intentional.
-
-Both passes are silent on projects with no discoverable pipeline — the
+The pass is silent on projects with no discoverable pipeline — the
 contract is a property of the simulator tree, not of arbitrary code.
 """
 
@@ -26,10 +19,7 @@ import os
 from typing import Iterator
 
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.analysis.effects.analyze import (
-    PipelineContract,
-    external_state_writes,
-)
+from repro.analysis.effects.analyze import PipelineContract
 from repro.analysis.effects.contract import (
     CONTRACT_FILENAME,
     build_contract,
@@ -38,13 +28,6 @@ from repro.analysis.effects.contract import (
 )
 from repro.analysis.flow.project import ProjectContext
 from repro.analysis.registry import ProjectChecker, register
-
-
-def _extract(project: ProjectContext) -> PipelineContract | None:
-    try:
-        return PipelineContract(project)
-    except LookupError:
-        return None
 
 
 def _pipeline_anchor(project: ProjectContext, contract: PipelineContract) -> tuple[str, int]:
@@ -69,8 +52,9 @@ class StateContractDriftChecker(ProjectChecker):
     fingerprint_files = (CONTRACT_FILENAME,)
 
     def check_project(self, project: ProjectContext) -> Iterator[Diagnostic]:
-        contract = _extract(project)
-        if contract is None:
+        try:
+            contract = PipelineContract(project)
+        except LookupError:
             return
         committed_path = self._find_committed(project)
         if committed_path is None:
@@ -129,49 +113,3 @@ class StateContractDriftChecker(ProjectChecker):
                 break
             current = parent
         return None
-
-
-@register
-class EscapedStateWriteChecker(ProjectChecker):
-    """No reaching into a structure's state from outside its class."""
-
-    rule = "escaped-state-write"
-    description = (
-        "run-loop code writes into IQ/ROB/LSQ/rename/FU internals "
-        "through a held reference instead of a method of the structure"
-    )
-
-    def check_project(self, project: ProjectContext) -> Iterator[Diagnostic]:
-        contract = _extract(project)
-        if contract is None:
-            return
-        analysis = contract.analysis
-        reachable = analysis.reachable_from(contract.entry)
-        seen: set[tuple[str, str, int]] = set()
-        for verdict in contract.structures.values():
-            for qual, path, loc in external_state_writes(
-                analysis, reachable, verdict.class_qualname
-            ):
-                key = (qual, path, loc.line)
-                if key in seen:
-                    continue
-                seen.add(key)
-                node = analysis.graph.functions.get(qual)
-                mod = project.modules_by_name.get(node.module) if node else None
-                if node is None or mod is None:  # pragma: no cover
-                    continue
-                yield Diagnostic(
-                    path=mod.path,
-                    line=loc.line,
-                    col=loc.col,
-                    rule=self.rule,
-                    message=(
-                        f"{qual} writes {path} — state owned by "
-                        f"{verdict.class_qualname}; move the mutation into a "
-                        "method of the structure"
-                    ),
-                    severity=Severity.WARNING,
-                    symbol=qual,
-                    end_line=loc.end_line,
-                    end_col=loc.end_col,
-                )

@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="report format (default: text)",
     )
@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     phase.add_argument(
         "--project-only",
         action="store_true",
-        help="run only the project-wide dataflow passes",
+        help="run only the project-wide passes",
     )
     parser.add_argument(
         "--baseline",

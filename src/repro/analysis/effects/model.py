@@ -195,12 +195,17 @@ class _EffectVisitor(ast.NodeVisitor):
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         self.visit(node.value)
+        if isinstance(node.target, ast.Name):
+            # ``budget -= 1`` on a local bound from state reads the
+            # alias and rebinds the local; the aliased path is untouched.
+            path = self.aliases.pop(node.target.id, None)
+            if path:
+                self._read(path, node.target)
+            return
         path = self.resolve(node.target)
         if path:
             self._read(path, node.target)
             self._write(path, node.target)
-        elif isinstance(node.target, ast.Name):
-            self.aliases.pop(node.target.id, None)
 
     def _handle_target(self, target: ast.expr, value_path: str | None) -> None:
         if isinstance(target, ast.Name):

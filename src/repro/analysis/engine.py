@@ -11,7 +11,7 @@ Two layers share one parse per file:
   :class:`~repro.analysis.flow.project.ProjectContext` from the same
   ``FileContext`` objects and runs every registered
   :class:`~repro.analysis.registry.ProjectChecker` (call-graph and
-  CFG/dataflow passes) once per run.
+  effect-analysis passes) once per run.
 
 Both layers filter through the per-file suppression tables; suppression
 comments naming a rule the registry has never heard of earn a
@@ -174,8 +174,8 @@ def _pool_check_file(args: tuple[str, list[str]]) -> list[Diagnostic]:
     if _WORKER_ENGINE is None or _WORKER_RULES != rules:
         # Deliberate per-process memo: each pool worker keeps one warm
         # engine; the parent never reads these globals back.
-        _WORKER_ENGINE = LintEngine(rules)  # lint: disable=fork-safety
-        _WORKER_RULES = rules  # lint: disable=fork-safety
+        _WORKER_ENGINE = LintEngine(rules)
+        _WORKER_RULES = rules
     return _WORKER_ENGINE.check_file(path)
 
 

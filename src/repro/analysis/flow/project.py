@@ -8,11 +8,9 @@ to every registered :class:`~repro.analysis.registry.ProjectChecker`.
 
 from __future__ import annotations
 
-import ast
 from typing import TYPE_CHECKING, Iterator
 
 from repro.analysis.flow.callgraph import CallGraph
-from repro.analysis.flow.cfg import FunctionFlow, build_flow
 from repro.analysis.flow.symbols import ClassInfo, ModuleInfo, build_module_info
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -20,11 +18,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class ProjectContext:
-    """Symbol tables, call graph and CFG access for a set of modules."""
+    """Symbol tables and call graph for a set of modules."""
 
     def __init__(self, files: "list[FileContext]"):
-        #: path -> FileContext (parse + suppression table reused).
-        self.files: dict[str, FileContext] = {f.path: f for f in files}
         #: path -> ModuleInfo, and dotted module name -> ModuleInfo.
         self.modules: dict[str, ModuleInfo] = {}
         by_name: dict[str, ModuleInfo] = {}
@@ -34,7 +30,6 @@ class ProjectContext:
             by_name[info.name] = info
         self.modules_by_name = by_name
         self.call_graph = CallGraph(by_name)
-        self._flows: dict[int, FunctionFlow] = {}
 
     # -- iteration helpers ---------------------------------------------
     def iter_modules(self) -> Iterator[ModuleInfo]:
@@ -46,26 +41,3 @@ class ProjectContext:
         for mod in self.iter_modules():
             for name in sorted(mod.classes):
                 yield mod, mod.classes[name]
-
-    def iter_functions(
-        self,
-    ) -> Iterator[tuple[ModuleInfo, ClassInfo | None, ast.FunctionDef | ast.AsyncFunctionDef]]:
-        """Every function/method with its module (and class, if any)."""
-        for mod in self.iter_modules():
-            for name in sorted(mod.functions):
-                yield mod, None, mod.functions[name]
-            for cls_name in sorted(mod.classes):
-                cls = mod.classes[cls_name]
-                for mname in sorted(cls.methods):
-                    yield mod, cls, cls.methods[mname]
-
-    # -- dataflow ------------------------------------------------------
-    def flow(self, func: ast.FunctionDef | ast.AsyncFunctionDef) -> FunctionFlow:
-        """The (memoized) CFG + dataflow facts for one function."""
-        key = id(func)
-        if key not in self._flows:
-            self._flows[key] = build_flow(func)
-        return self._flows[key]
-
-    def file_for(self, module: ModuleInfo) -> "FileContext":
-        return self.files[module.path]

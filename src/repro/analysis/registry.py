@@ -23,7 +23,7 @@ class BaseChecker:
     """One lint rule.
 
     ``default_paths``: when non-empty, the engine only runs the checker
-    on files whose basename is in the set — rules like *stage-purity*
+    on files whose basename is in the set — rules like *config-bounds*
     are meaningful only for specific modules.
     """
 
@@ -41,7 +41,7 @@ class BaseChecker:
 
 
 class ProjectChecker(BaseChecker):
-    """A whole-project (dataflow) lint rule.
+    """A whole-project lint rule.
 
     Runs once per :meth:`LintEngine.run` against the shared
     :class:`~repro.analysis.flow.project.ProjectContext` instead of

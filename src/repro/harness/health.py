@@ -21,9 +21,8 @@ telemetry across the process boundary, this module moves *liveness*.
   the retry machinery.
 
 Wall-clock reads here are observability-only and never feed simulated
-results, so the determinism rule is suppressed.
+results.
 """
-# lint: disable-file=determinism
 
 from __future__ import annotations
 

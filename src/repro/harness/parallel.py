@@ -42,7 +42,6 @@ serves/persists a Prometheus + JSON status view of all of it
 Wall-clock reads below time harness work (point spans, backoff, wait
 deadlines) and never feed simulated results.
 """
-# lint: disable-file=determinism
 
 from __future__ import annotations
 
@@ -369,7 +368,7 @@ def _init_worker(warm: tuple, obs_spec: tuple | None = None) -> None:
     heartbeat.attach(bus)
     set_ambient_bus(bus)
     # Deliberate per-process worker state, installed once per pool child.
-    _WORKER_OBS = _WorkerObs(bus, relay, heartbeat)  # lint: disable=fork-safety
+    _WORKER_OBS = _WorkerObs(bus, relay, heartbeat)
     if log_path:
         setup_run_logging(run_id, config_hash, path=log_path)
         get_run_logger("worker").info("worker online", extra={"pid": os.getpid()})

@@ -15,10 +15,9 @@ wall-clock is the only nondeterminism, and min-of-N strips most of it.
 Results feed :mod:`repro.perf.history`: the committed
 ``BENCH_perf.json`` trajectory and the band check that gates against it.
 
-Timing is the purpose of this module, so the determinism rule is
-suppressed; benchmark output never feeds simulated results.
+Timing is the purpose of this module; benchmark output never feeds
+simulated results.
 """
-# lint: disable-file=determinism
 
 from __future__ import annotations
 

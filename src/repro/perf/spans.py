@@ -21,7 +21,6 @@ the native unit of the Chrome trace-event format.
 Wall-clock reads are this module's purpose; span output must never
 feed back into simulated results.
 """
-# lint: disable-file=determinism
 
 from __future__ import annotations
 

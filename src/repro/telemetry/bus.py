@@ -11,8 +11,9 @@ properties make it safe to leave wired into the hot path:
   even payload construction.
 * **Schema validation on delivery only.**  The keyword set is checked
   against the topic's declared fields when an event is actually built,
-  so the zero-subscriber path never pays for validation.  (The
-  ``event-schema`` lint rule checks the same property statically.)
+  so the zero-subscriber path never pays for validation.  This
+  run-time check (here and in :meth:`EventBus.republish`) is the only
+  schema check; no lint rule re-checks ``emit`` call sites.
 
 The pipeline stamps :attr:`cycle` and :attr:`stage` once per stage;
 every event inherits them, which is what gives observers a total

@@ -20,7 +20,6 @@ Three thin, dependency-free layers over :class:`MetricsRegistry`:
 Serving wall-clock-adjacent observability is this module's purpose;
 nothing here feeds simulated results.
 """
-# lint: disable-file=determinism
 
 from __future__ import annotations
 

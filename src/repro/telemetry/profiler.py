@@ -6,11 +6,9 @@ shares, so a hot-path regression shows up as one stage's share moving
 instead of a mute end-to-end slowdown.  Profiling is opt-in (the
 un-profiled loop contains no clock reads at all).
 
-Wall-clock reads are the entire point of this module, so the
-determinism rule is suppressed; profiler output must never feed back
-into simulated results.
+Wall-clock reads are the entire point of this module; profiler output
+must never feed back into simulated results.
 """
-# lint: disable-file=determinism
 
 from __future__ import annotations
 

@@ -10,10 +10,9 @@ exports, and stamped onto benchmark reports so BENCH_* trajectories
 stay attributable.
 
 Wall-clock and host reads are intentional here — provenance is *about*
-when/where a run happened — so the determinism rule is suppressed for
-this file; simulated results must never depend on any field below.
+when/where a run happened; simulated results must never depend on any
+field below.
 """
-# lint: disable-file=determinism
 
 from __future__ import annotations
 

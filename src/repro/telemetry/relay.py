@@ -24,9 +24,8 @@ chosen so this holds; do not relay instruction-granularity topics
 (``pipeline.commit`` carries a live ``DynInst``).
 
 Wall-clock stamps here are observability-only and never feed simulated
-results, so the determinism rule is suppressed.
+results.
 """
-# lint: disable-file=determinism
 
 from __future__ import annotations
 

@@ -19,7 +19,6 @@ configured it.
 
 Timestamps are wall-clock observability, never simulated results.
 """
-# lint: disable-file=determinism
 
 from __future__ import annotations
 

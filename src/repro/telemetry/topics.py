@@ -2,10 +2,10 @@
 
 Every event the simulator emits flows through a :class:`Topic`
 registered in this module: the topic's ``fields`` set is the event's
-schema.  ``EventBus.emit`` validates the keyword set against the schema
-whenever an event is actually delivered, and the ``event-schema`` lint
-rule (``repro.analysis.checkers.event_schema``) verifies every
-``bus.emit(...)`` call site statically, so the catalog below is the
+schema.  ``EventBus.emit`` (and ``republish``, for events relayed from
+pool workers) validates the keyword set against the schema whenever an
+event is actually delivered; that run-time check is the only one — no
+static pass re-checks the call sites — so the catalog below is the
 single source of truth for what observers may rely on.
 
 Two fields are stamped automatically by the bus and therefore never

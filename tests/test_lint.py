@@ -5,14 +5,12 @@ import json
 import os
 import subprocess
 import sys
-import textwrap
 
 import pytest
 
 from repro.analysis import LintEngine, Severity, all_rules, get_checker
 from repro.analysis.cli import main as lint_main
-from repro.analysis.checkers.forksafety import iter_pool_sites, worker_reachable
-from repro.analysis.engine import build_project, iter_python_files
+from repro.analysis.engine import iter_python_files
 from repro.analysis.reporters import render
 
 HERE = os.path.dirname(__file__)
@@ -21,22 +19,22 @@ SRC = os.path.join(HERE, os.pardir, "src")
 ROOT = os.path.dirname(os.path.abspath(HERE))
 BASELINE = os.path.join(ROOT, "lint-baseline.json")
 
-#: rule -> its dedicated counterexample fixture.
+#: per-file rule -> its dedicated counterexample fixture.
 FIXTURE_OF = {
-    "determinism": os.path.join(FIXTURES, "determinism_bad.py"),
-    "counter-balance": os.path.join(FIXTURES, "counter_balance_bad.py"),
-    "slots": os.path.join(FIXTURES, "slots_bad.py"),
-    "stage-purity": os.path.join(FIXTURES, "stage_purity", "pipeline.py"),
     "config-bounds": os.path.join(FIXTURES, "config_bounds", "config.py"),
-    "event-schema": os.path.join(FIXTURES, "event_schema_bad.py"),
+    "dimension-mismatch": os.path.join(FIXTURES, "dimension_bad.py"),
 }
 
-#: project rule -> its counterexample fixture directory.
+#: project rule -> its counterexample fixture (file or directory).
 PROJECT_FIXTURE_OF = {
-    "fork-safety": os.path.join(FIXTURES, "fork_safety"),
-    "pickle-safety": os.path.join(FIXTURES, "pickle_safety"),
+    "emit-coverage": os.path.join(FIXTURES, "emit_coverage"),
+    "paper-fidelity": os.path.join(FIXTURES, "paper_fidelity_bad.py"),
 }
+
 FIXTURE_RULES = sorted(FIXTURE_OF) + sorted(PROJECT_FIXTURE_OF)
+
+#: A bit-cycle count plus a cycle count: one dimension-mismatch finding.
+MISMATCH = "def f(ace_bit_cycles, warmup_cycles):\n    return ace_bit_cycles + warmup_cycles"
 
 
 def run_rule(rule, path):
@@ -45,16 +43,11 @@ def run_rule(rule, path):
     return LintEngine([rule]).check_file(path)
 
 
-def make_project(tmp_path, **modules):
-    """Build a ProjectContext from ``name=source`` module pairs."""
-    for name, src in modules.items():
-        (tmp_path / f"{name}.py").write_text(textwrap.dedent(src))
-    return build_project([str(tmp_path)])
-
-
 class TestRegistry:
     def test_all_five_rules_registered(self):
-        assert set(FIXTURE_OF) <= set(all_rules())
+        assert all_rules() == sorted(
+            [*FIXTURE_OF, *PROJECT_FIXTURE_OF, "state-contract-drift"]
+        )
 
     def test_unknown_rule_raises(self):
         with pytest.raises(KeyError):
@@ -84,99 +77,12 @@ class TestCheckersFireOnFixtures:
             diags = LintEngine(others).check_file(FIXTURE_OF[rule])
         assert diags == []
 
-    def test_determinism_finds_all_three_categories(self):
-        messages = [d.message for d in run_rule("determinism", FIXTURE_OF["determinism"])]
-        assert any("global-state RNG" in m for m in messages)
-        assert any("wall-clock" in m for m in messages)
-        assert any("set expression" in m for m in messages)
-
-    def test_counter_balance_reports_both_failure_modes(self):
-        diags = run_rule("counter-balance", FIXTURE_OF["counter-balance"])
-        symbols = {d.symbol for d in diags}
-        assert "LeakyQueue.pred_ace_bits" in symbols
-        assert "LopsidedQueue.ready_pred_ace" in symbols
-        assert not any(s.startswith("BalancedQueue") for s in symbols)
-
-    def test_slots_names_the_missing_attribute(self):
-        diags = run_rule("slots", FIXTURE_OF["slots"])
-        assert {d.symbol for d in diags} == {"HotPathEntry.squash_cycle"}
-
-    def test_event_schema_reports_every_failure_mode(self):
-        messages = [
-            d.message for d in run_rule("event-schema", FIXTURE_OF["event-schema"])
-        ]
-        assert len(messages) == 6
-        assert any("string-literal topic" in m for m in messages)
-        assert any("unknown topic constant TOPIC_MADE_UP" in m for m in messages)
-        assert any("positional payload" in m for m in messages)
-        assert any("**kwargs splat" in m for m in messages)
-        assert any("missing ['wq_ratio']" in m for m in messages)
-        assert any("extra ['bogus']" in m for m in messages)
-
-    def test_stage_purity_flags_write_and_mutator_call(self):
-        diags = run_rule("stage-purity", FIXTURE_OF["stage-purity"])
-        methods = {d.symbol for d in diags}
-        assert methods == {"BrokenPipeline._issue", "BrokenPipeline._writeback"}
-
     def test_config_bounds_flags_field_and_missing_validate(self):
         diags = run_rule("config-bounds", FIXTURE_OF["config-bounds"])
         symbols = {d.symbol for d in diags}
         assert "PartiallyValidatedConfig.t_cache_miss" in symbols
         assert "UnvalidatedConfig" in symbols
         assert not any(s.startswith("FullyValidatedConfig") for s in symbols)
-
-
-class TestForkSafety:
-    def test_flags_all_four_mutations_in_worker_code(self):
-        diags = run_rule("fork-safety", PROJECT_FIXTURE_OF["fork-safety"])
-        assert [d.line for d in diags] == [13, 14, 20, 21]
-        # ... and only in worker-reachable functions: local_report's
-        # identical .append() on line 34 stays silent.
-        assert all("workers.run_point" in d.message for d in diags)
-
-    def test_worker_reachable_closure(self, tmp_path):
-        project = make_project(
-            tmp_path,
-            jobs="""
-            def work(x):
-                return helper(x)
-
-            def helper(x):
-                return x
-
-            def cold(x):
-                return x
-
-            def launch(pool, xs):
-                return pool.map(work, xs)
-            """,
-        )
-        reached = worker_reachable(project)
-        assert reached == {"jobs.work": "jobs.work", "jobs.helper": "jobs.work"}
-
-
-class TestPickleSafety:
-    def test_flags_every_unpicklable_crossing(self):
-        diags = run_rule("pickle-safety", PROJECT_FIXTURE_OF["pickle-safety"])
-        assert [d.line for d in diags] == [22, 23, 24, 25, 30]
-        by_sev = {s: sum(1 for d in diags if d.severity == s) for s in Severity}
-        assert by_sev[Severity.ERROR] == 3  # lambda, nested def, initializer
-        assert by_sev[Severity.WARNING] == 2  # bound method, open() handle
-
-    def test_pool_sites_include_initializer_keyword(self, tmp_path):
-        project = make_project(
-            tmp_path,
-            jobs="""
-            def setup():
-                pass
-
-            def launch(pool, xs, f):
-                pool = make_pool(initializer=setup)
-                return pool.map(f, xs)
-            """,
-        )
-        kinds = sorted(s.kind for s in iter_pool_sites(project))
-        assert kinds == ["initializer", "map"]
 
 
 class TestRealTreeClean:
@@ -196,39 +102,38 @@ class TestRealTreeClean:
 
 class TestSuppressions:
     def test_line_suppression(self):
-        src = "import random\nx = random.random()  # lint: disable=determinism\n"
-        assert LintEngine(["determinism"]).check_source(src) == []
+        src = MISMATCH + "  # lint: disable=dimension-mismatch\n"
+        assert LintEngine(["dimension-mismatch"]).check_source(src) == []
 
     def test_line_suppression_is_rule_specific(self):
-        src = "import random\nx = random.random()  # lint: disable=slots\n"
-        diags = LintEngine(["determinism"]).check_source(src)
+        src = MISMATCH + "  # lint: disable=config-bounds\n"
+        diags = LintEngine(["dimension-mismatch"]).check_source(src)
         assert len(diags) == 1
 
     def test_file_suppression(self):
         src = (
-            "# lint: disable-file=determinism\n"
-            "import random\n"
-            "x = random.random()\n"
-            "y = random.randint(0, 3)\n"
+            "# lint: disable-file=dimension-mismatch\n"
+            + MISMATCH
+            + "\n\n\ndef g(ace_bit_cycles, idle_cycles):\n"
+            "    return ace_bit_cycles - idle_cycles\n"
         )
-        assert LintEngine(["determinism"]).check_source(src) == []
+        assert LintEngine(["dimension-mismatch"]).check_source(src) == []
 
     def test_wildcard_suppression(self):
-        src = "import random\nx = random.random()  # lint: disable=all\n"
-        assert LintEngine(["determinism"]).check_source(src) == []
+        src = MISMATCH + "  # lint: disable=all\n"
+        assert LintEngine(["dimension-mismatch"]).check_source(src) == []
 
     def test_directive_inside_string_is_ignored(self):
-        src = 'import random\ns = "# lint: disable-file=all"\nx = random.random()\n'
-        assert len(LintEngine(["determinism"]).check_source(src)) == 1
+        src = 's = "# lint: disable-file=all"\n' + MISMATCH + "\n"
+        assert len(LintEngine(["dimension-mismatch"]).check_source(src)) == 1
 
     def test_one_directive_suppresses_multiple_rules(self):
         src = (
-            "import random\n"
-            "import time\n"
-            "x = (random.random(), time.time())"
-            "  # lint: disable=determinism, slots\n"
+            "def f(ace_bit_cycles, warmup_cycles, capacity_bits):\n"
+            "    return ace_bit_cycles + warmup_cycles, warmup_cycles - capacity_bits"
+            "  # lint: disable=dimension-mismatch, config-bounds\n"
         )
-        assert LintEngine(["determinism", "slots"]).check_source(src) == []
+        assert LintEngine(["dimension-mismatch", "config-bounds"]).check_source(src) == []
 
     def test_unknown_rule_in_directive_warns(self):
         src = "x = 1  # lint: disable=not-a-rule\n"
@@ -239,7 +144,7 @@ class TestSuppressions:
         assert "not-a-rule" in diags[0].message
 
     def test_known_rule_in_directive_does_not_warn(self):
-        src = "x = 1  # lint: disable=determinism,all\n"
+        src = "x = 1  # lint: disable=dimension-mismatch,all\n"
         assert LintEngine().check_source(src) == []
 
     def test_file_suppression_applies_to_project_passes(self, tmp_path):
@@ -264,16 +169,14 @@ class TestSuppressionBaselineInteraction:
 
     #: two findings on one line, both silenced by one directive.
     SUPPRESSED = (
-        "import random\n"
-        "import time\n"
-        "x = (random.random(), time.time())"
-        "  # lint: disable=determinism, slots\n"
+        "def f(ace_bit_cycles, warmup_cycles, capacity_bits):\n"
+        "    return ace_bit_cycles + warmup_cycles, warmup_cycles - capacity_bits"
+        "  # lint: disable=dimension-mismatch, config-bounds\n"
     )
     #: same findings, no directive — what the baseline was written from.
     UNSUPPRESSED = (
-        "import random\n"
-        "import time\n"
-        "x = (random.random(), time.time())\n"
+        "def f(ace_bit_cycles, warmup_cycles, capacity_bits):\n"
+        "    return ace_bit_cycles + warmup_cycles, warmup_cycles - capacity_bits\n"
     )
 
     def test_suppressed_and_baselined_counts_once(self, capsys, tmp_path):
@@ -299,41 +202,35 @@ class TestSuppressionBaselineInteraction:
         # suppressed inline the baseline budget must still absorb the
         # other (the suppressed finding never reaches the filter).
         two_sites = tmp_path / "mod.py"
-        two_sites.write_text("import random\nx = random.random()\n")
+        two_sites.write_text(MISMATCH + "\n")
         baseline = tmp_path / "baseline.json"
-        assert lint_main(
-            ["--no-cache", "--rules", "determinism", "--write-baseline", str(baseline), str(two_sites)]
-        ) == 0
+        rules = ["--no-cache", "--rules", "dimension-mismatch"]
+        assert lint_main(rules + ["--write-baseline", str(baseline), str(two_sites)]) == 0
         two_sites.write_text(
-            "import random\n"
-            "x = random.random()  # lint: disable=determinism, slots\n"
-            "y = random.random()\n"
+            "def f(ace_bit_cycles, warmup_cycles):\n"
+            "    x = ace_bit_cycles + warmup_cycles  # lint: disable=dimension-mismatch, config-bounds\n"
+            "    return ace_bit_cycles + warmup_cycles\n"
         )
         capsys.readouterr()
-        assert lint_main(
-            ["--no-cache", "--rules", "determinism", "--baseline", str(baseline), str(two_sites)]
-        ) == 0
+        assert lint_main(rules + ["--baseline", str(baseline), str(two_sites)]) == 0
         assert "no problems found" in capsys.readouterr().out
 
     def test_second_regression_still_fails_past_suppression(self, capsys, tmp_path):
         # The suppression only covers its own line: a third identical
         # site exceeds the baseline count and fails the gate.
         mod = tmp_path / "mod.py"
-        mod.write_text("import random\nx = random.random()\n")
+        mod.write_text(MISMATCH + "\n")
         baseline = tmp_path / "baseline.json"
-        assert lint_main(
-            ["--no-cache", "--rules", "determinism", "--write-baseline", str(baseline), str(mod)]
-        ) == 0
+        rules = ["--no-cache", "--rules", "dimension-mismatch"]
+        assert lint_main(rules + ["--write-baseline", str(baseline), str(mod)]) == 0
         mod.write_text(
-            "import random\n"
-            "x = random.random()  # lint: disable=determinism, slots\n"
-            "y = random.random()\n"
-            "z = random.random()\n"
+            "def f(ace_bit_cycles, warmup_cycles):\n"
+            "    x = ace_bit_cycles + warmup_cycles  # lint: disable=dimension-mismatch, config-bounds\n"
+            "    y = ace_bit_cycles + warmup_cycles\n"
+            "    return ace_bit_cycles + warmup_cycles\n"
         )
         capsys.readouterr()
-        assert lint_main(
-            ["--no-cache", "--rules", "determinism", "--baseline", str(baseline), str(mod)]
-        ) == 1
+        assert lint_main(rules + ["--baseline", str(baseline), str(mod)]) == 1
         capsys.readouterr()
 
 
@@ -360,40 +257,27 @@ class TestEngine:
 
 class TestReporters:
     def test_json_report_round_trips(self):
-        diags = run_rule("slots", FIXTURE_OF["slots"])
+        diags = run_rule("dimension-mismatch", FIXTURE_OF["dimension-mismatch"])
         payload = json.loads(render(diags, "json"))
         assert payload["summary"]["total"] == len(diags)
-        assert payload["diagnostics"][0]["rule"] == "slots"
+        assert payload["diagnostics"][0]["rule"] == "dimension-mismatch"
 
     def test_text_report_mentions_rule_and_location(self):
-        diags = run_rule("slots", FIXTURE_OF["slots"])
+        diags = run_rule("dimension-mismatch", FIXTURE_OF["dimension-mismatch"])
         text = render(diags, "text")
-        assert "[slots]" in text
-        assert "slots_bad.py" in text
+        assert "[dimension-mismatch]" in text
+        assert "dimension_bad.py" in text
 
     def test_severity_str(self):
         assert str(Severity.ERROR) == "error"
         assert str(Severity.WARNING) == "warning"
         assert str(Severity.NOTE) == "note"
 
-    def test_sarif_report_structure(self):
-        diags = run_rule("slots", FIXTURE_OF["slots"])
-        doc = json.loads(render(diags, "sarif"))
-        assert doc["version"] == "2.1.0"
-        run = doc["runs"][0]
-        assert run["tool"]["driver"]["name"] == "repro.lint"
-        assert len(run["results"]) == len(diags)
-        rules = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert "slots" in rules
-        result = run["results"][0]
-        assert result["level"] == "error"
-        assert result["locations"][0]["physicalLocation"]["region"]["startLine"] > 0
-
 
 class TestCLI:
     def test_exit_codes(self, capsys):
         assert lint_main(["--no-cache", "--baseline", BASELINE, SRC]) == 0
-        assert lint_main(["--no-cache", FIXTURE_OF["slots"]]) == 1
+        assert lint_main(["--no-cache", FIXTURE_OF["dimension-mismatch"]]) == 1
         capsys.readouterr()
 
     def test_no_paths_and_no_default_roots_is_usage_error(
@@ -431,7 +315,7 @@ class TestCLI:
 
     def test_baseline_round_trip(self, capsys, tmp_path):
         baseline = tmp_path / "baseline.json"
-        fixture = FIXTURE_OF["slots"]
+        fixture = FIXTURE_OF["dimension-mismatch"]
         assert lint_main(["--no-cache", "--write-baseline", str(baseline), fixture]) == 0
         assert lint_main(["--no-cache", "--baseline", str(baseline), fixture]) == 0
         capsys.readouterr()
@@ -439,12 +323,13 @@ class TestCLI:
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in FIXTURE_OF:
-            assert rule in out
+        assert [line.split(":")[0] for line in out.splitlines()] == all_rules()
 
     def test_rules_subset(self, capsys):
-        # Only the slots rule runs: the determinism fixture stays clean.
-        assert lint_main(["--rules", "slots", FIXTURE_OF["determinism"]]) == 0
+        # Only config-bounds runs: the dimension-mismatch fixture stays clean.
+        assert lint_main(
+            ["--rules", "config-bounds", FIXTURE_OF["dimension-mismatch"]]
+        ) == 0
         capsys.readouterr()
 
     def test_unknown_rule_is_usage_error(self, capsys):
@@ -452,7 +337,7 @@ class TestCLI:
         capsys.readouterr()
 
     def test_json_format(self, capsys):
-        assert lint_main(["--format", "json", FIXTURE_OF["slots"]]) == 1
+        assert lint_main(["--format", "json", FIXTURE_OF["dimension-mismatch"]]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["errors"] >= 1
 

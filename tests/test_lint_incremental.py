@@ -13,42 +13,45 @@ from repro.analysis import LintEngine
 from repro.analysis.cli import main as lint_main
 from repro.analysis.flow.cache import DiagnosticCache
 
+#: A decision hook (the ``dvm.py`` basename makes it one) whose only
+#: path to a ``bus.emit`` runs through ``callee.py``.
 CALLER = """
-from concurrent.futures import ProcessPoolExecutor
-
-from callee import issue
+from callee import publish
 
 
-def sweep(points):
-    with ProcessPoolExecutor() as pool:
-        return list(pool.map(issue, points))
+class Controller:
+    def __init__(self, bus):
+        self.bus = bus
+        self.level = 0.0
+
+    def on_sample(self, estimate):
+        self.level = estimate
+        publish(self.bus, estimate)
 """
 
 CALLEE_CLEAN = """
-_SEEN = []
-
-
-def issue(point):
-    rows = [point]
-    return rows
+def publish(bus, estimate):
+    bus.emit("dvm.sample", estimate=estimate)
 """
 
-#: Same function, now mutating a module-level container.  That is a
-#: fork-safety finding only because caller.py submits ``issue`` to a
-#: process pool: the callee alone is not worker-reachable.
-CALLEE_UNSAFE = """
-_SEEN = []
+#: Same helper, now emitting nothing.  That is an emit-coverage finding
+#: in dvm.py, which did not change: only the call graph through the
+#: callee makes the hook silent.
+CALLEE_SILENT = """
+def publish(bus, estimate):
+    return estimate
+"""
 
-
-def issue(point):
-    _SEEN.append(point)
-    return [point]
+#: A per-file (dimension-mismatch) finding in a module nothing imports.
+UNRELATED = """
+def span(ace_bit_cycles, warmup_cycles):
+    return ace_bit_cycles + warmup_cycles
 """
 
 
 def write_tree(root, callee=CALLEE_CLEAN):
     root.mkdir(exist_ok=True)
-    (root / "caller.py").write_text(textwrap.dedent(CALLER))
+    (root / "dvm.py").write_text(textwrap.dedent(CALLER))
     (root / "callee.py").write_text(textwrap.dedent(callee))
 
 
@@ -57,8 +60,8 @@ class TestTransitiveInvalidation:
         tree = tmp_path / "proj"
         write_tree(tree)
         cache = str(tmp_path / "cache")
-        LintEngine(["fork-safety"], cache_dir=cache).run([str(tree)])
-        engine = LintEngine(["fork-safety"], cache_dir=cache)
+        LintEngine(["emit-coverage"], cache_dir=cache).run([str(tree)])
+        engine = LintEngine(["emit-coverage"], cache_dir=cache)
         assert engine.run([str(tree)]) == []
         assert engine.cache_stats.project_hits == 1
         assert engine.cache_stats.project_misses == 0
@@ -67,25 +70,25 @@ class TestTransitiveInvalidation:
         tree = tmp_path / "proj"
         write_tree(tree)
         cache = str(tmp_path / "cache")
-        first = LintEngine(["fork-safety"], cache_dir=cache).run([str(tree)])
+        first = LintEngine(["emit-coverage"], cache_dir=cache).run([str(tree)])
         assert first == []
 
-        # Only the callee changes; the caller (whose pool submission
-        # makes the callee worker-reachable) is untouched and cache-warm.
-        write_tree(tree, callee=CALLEE_UNSAFE)
-        engine = LintEngine(["fork-safety"], cache_dir=cache)
+        # Only the callee changes; the caller (whose hook now reaches no
+        # emit) is untouched and cache-warm.
+        write_tree(tree, callee=CALLEE_SILENT)
+        engine = LintEngine(["emit-coverage"], cache_dir=cache)
         diags = engine.run([str(tree)])
         assert engine.cache_stats.project_hits == 0
         assert engine.cache_stats.project_misses == 1
-        assert [d.rule for d in diags] == ["fork-safety"]
-        assert diags[0].path.endswith("callee.py")
+        assert [d.rule for d in diags] == ["emit-coverage"]
+        assert diags[0].path.endswith("dvm.py")
 
     def test_cached_project_diags_match_fresh_ones(self, tmp_path):
         tree = tmp_path / "proj"
-        write_tree(tree, callee=CALLEE_UNSAFE)
+        write_tree(tree, callee=CALLEE_SILENT)
         cache = str(tmp_path / "cache")
-        fresh = LintEngine(["fork-safety"], cache_dir=cache).run([str(tree)])
-        cached = LintEngine(["fork-safety"], cache_dir=cache).run([str(tree)])
+        fresh = LintEngine(["emit-coverage"], cache_dir=cache).run([str(tree)])
+        cached = LintEngine(["emit-coverage"], cache_dir=cache).run([str(tree)])
         assert [d.format() for d in cached] == [d.format() for d in fresh]
         assert fresh, "scenario should produce a finding"
 
@@ -99,7 +102,7 @@ class TestDependencyMap:
         cache = DiagnosticCache(cache_dir)
         cache.open([], [])
         deps = cache.deps_map()
-        caller = str(tree / "caller.py")
+        caller = str(tree / "dvm.py")
         callee = str(tree / "callee.py")
         assert deps[caller] == [callee]
         assert cache.reverse_dependents({callee}) == {caller}
@@ -129,9 +132,7 @@ class TestChangedScope:
     def repo(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         write_tree(tmp_path / "src")
-        (tmp_path / "src" / "unrelated.py").write_text(
-            "import time\n\n\ndef now():\n    return time.perf_counter()\n"
-        )
+        (tmp_path / "src" / "unrelated.py").write_text(textwrap.dedent(UNRELATED))
         _git(
             ["init", "-q"],
             ["config", "user.email", "lint@test"],
@@ -148,45 +149,41 @@ class TestChangedScope:
         assert "no changed python files" in capsys.readouterr().out
 
     def test_changed_pulls_in_reverse_dependents_only(self, repo, capsys):
-        assert lint_main([]) == 1  # unrelated.py's determinism finding
+        assert lint_main([]) == 1  # unrelated.py's dimension-mismatch finding
         capsys.readouterr()
 
-        write_tree(repo / "src", callee=CALLEE_UNSAFE)
+        write_tree(repo / "src", callee=CALLEE_SILENT)
         assert lint_main(["--changed", "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         rules = {d["rule"] for d in payload["diagnostics"]}
         paths = {os.path.basename(d["path"]) for d in payload["diagnostics"]}
-        # The fork-safety finding needs caller.py's pool submission in
-        # scope, so the dependent was linted; unrelated.py was not.
-        assert rules == {"fork-safety"}
-        assert paths == {"callee.py"}
+        # Only callee.py changed, but the finding lives in dvm.py, which
+        # imports it: the dependent was linted; unrelated.py was not.
+        assert rules == {"emit-coverage"}
+        assert paths == {"dvm.py"}
 
     def test_changed_pulls_in_forward_imports(self, repo, capsys):
-        write_tree(repo / "src", callee=CALLEE_UNSAFE)
-        _git(["commit", "-qam", "unsafe callee"])
         assert lint_main([]) == 1  # warm the cache
         capsys.readouterr()
 
-        with open(repo / "src" / "caller.py", "a") as fh:
+        with open(repo / "src" / "dvm.py", "a") as fh:
             fh.write("# touched\n")
-        assert lint_main(["--changed", "--format", "json"]) == 1
+        assert lint_main(["--changed", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        rules = {d["rule"] for d in payload["diagnostics"]}
-        paths = {os.path.basename(d["path"]) for d in payload["diagnostics"]}
-        # Only caller.py changed, but the finding lives in the callee it
-        # submits to a pool: the imported module must be in scope.
-        assert rules == {"fork-safety"}
-        assert paths == {"callee.py"}
+        # Only dvm.py changed, and its hook emits only through the
+        # callee it imports: without callee.py in scope the hook would
+        # look silent and be flagged.
+        assert payload["diagnostics"] == []
 
     def test_changed_rejects_explicit_paths(self, repo, capsys):
         assert lint_main(["--changed", "src"]) == 2
         assert "mutually exclusive" in capsys.readouterr().err
 
     def test_cold_cache_widens_to_a_full_run(self, repo, capsys):
-        write_tree(repo / "src", callee=CALLEE_UNSAFE)
+        write_tree(repo / "src", callee=CALLEE_SILENT)
         # No warm-up run: the deps map does not exist yet.
         assert lint_main(["--changed"]) == 1
         captured = capsys.readouterr()
         assert "cold cache" in captured.err
         # Full-run fallback sees every file, including unrelated.py.
-        assert "determinism" in captured.out
+        assert "dimension-mismatch" in captured.out

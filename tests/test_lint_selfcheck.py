@@ -1,6 +1,6 @@
 """The analyzer applied to this repository itself.
 
-The full engine — per-file rules plus the four project passes — runs
+The full engine — per-file rules plus the three project passes — runs
 over ``src/repro`` in-process; everything it reports must already be
 recorded in the committed ``lint-baseline.json``.  The same run doubles
 as the performance gate for the incremental cache: a second, unchanged
@@ -61,14 +61,14 @@ class TestCachePerformance:
 
     def test_warm_cache_parallel_run_beats_twice_per_file_time(self, tmp_path):
         cache = str(tmp_path / "cache")
-        start = time.perf_counter()  # lint: disable=determinism
+        start = time.perf_counter()
         LintEngine().run([SRC], project_phase=False)
-        per_file_time = time.perf_counter() - start  # lint: disable=determinism
+        per_file_time = time.perf_counter() - start
 
         LintEngine(cache_dir=cache).run([SRC])  # prime the cache
-        start = time.perf_counter()  # lint: disable=determinism
+        start = time.perf_counter()
         LintEngine(cache_dir=cache).run([SRC], jobs=2)
-        warm_time = time.perf_counter() - start  # lint: disable=determinism
+        warm_time = time.perf_counter() - start
 
         # Generous slack: CI boxes are noisy, and sub-second timings
         # need an absolute floor to be meaningful at all.

@@ -82,10 +82,10 @@ class TestWorkerRelay:
         bus = EventBus()
         relay = WorkerRelay(q, batch_size=1)
         relay.attach(bus)
-        start = time.perf_counter()  # lint: disable=determinism
+        start = time.perf_counter()
         _emit_intervals(bus, 5)  # capacity 1: four batches must drop
         # put_nowait, not put: a blocking put would hang here forever.
-        assert time.perf_counter() - start < 0.5  # lint: disable=determinism
+        assert time.perf_counter() - start < 0.5
         assert relay.sent == 1
         assert relay.dropped == 4
 

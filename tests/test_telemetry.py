@@ -59,7 +59,7 @@ class TestEventBus:
     def test_emit_without_subscribers_is_noop(self):
         bus = EventBus()
         # No validation on the fast path: even a wrong payload returns.
-        bus.emit(TOPIC_DVM_SAMPLE, nonsense=1)  # lint: disable=event-schema
+        bus.emit(TOPIC_DVM_SAMPLE, nonsense=1)
         assert not bus.wants(TOPIC_DVM_SAMPLE)
 
     def test_subscribe_and_emit(self):
@@ -78,9 +78,9 @@ class TestEventBus:
         bus = EventBus()
         bus.subscribe(TOPIC_DVM_SAMPLE, lambda e: None)
         with pytest.raises(ValueError, match="does not match schema"):
-            bus.emit(TOPIC_DVM_SAMPLE, estimate=0.3)  # missing fields  # lint: disable=event-schema
+            bus.emit(TOPIC_DVM_SAMPLE, estimate=0.3)  # missing fields
         with pytest.raises(ValueError, match="unexpected"):
-            bus.emit(  # lint: disable=event-schema
+            bus.emit(
                 TOPIC_DVM_SAMPLE,
                 estimate=0.3, triggered=False, wq_ratio=1.0, bogus=1,
             )
